@@ -1,6 +1,7 @@
 # Tier-1 verification in one command.
 .PHONY: all check build test bench bench-json bench-json-quick trace-smoke cluster-smoke \
-	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint clean
+	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint bench-args \
+	clean
 
 all: build
 
@@ -105,12 +106,21 @@ lint:
 	dune exec tools/lint.exe -- --expect-fail tools/fixtures/bad_escape.ml
 	dune exec tools/lint.exe -- --expect-fail tools/fixtures/stale_waiver.ml
 
+# Malformed bench/main.exe arguments must be rejected: each of these has
+# to exit non-zero, where an accepted one would run with the defaults.
+bench-args:
+	for a in "--jobs 0" "--jobs abc" "--jobs" "nonexistent-fig"; do \
+		if dune exec bench/main.exe -- $$a >/dev/null 2>&1; then \
+			echo "bench/main.exe accepted '$$a'"; exit 1; \
+		fi; \
+	done
+
 # What CI (and every PR) must keep green.
 check:
 	dune build && dune runtest && $(MAKE) lint && $(MAKE) trace-smoke && $(MAKE) cluster-smoke \
 		&& $(MAKE) policy-smoke && $(MAKE) hedge-smoke && $(MAKE) raft-smoke \
 		&& $(MAKE) par-smoke && $(MAKE) model-smoke && $(MAKE) verify-probes-smoke \
-		&& $(MAKE) bench-json-quick
+		&& $(MAKE) bench-args && $(MAKE) bench-json-quick
 
 bench:
 	dune exec bench/main.exe

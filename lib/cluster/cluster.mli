@@ -6,8 +6,10 @@
     dominates tail latency (RackSched, SNIPPETS/PAPERS). This module runs
     [N] full {!Repro_runtime.Server} instances — each with its own
     dispatcher, workers, JBSQ(k) and preemption mechanism, heterogeneous
-    configurations allowed — inside one shared {!Repro_engine.Sim}
-    discrete-event clock, behind a pluggable {!Lb_policy} load balancer.
+    configurations allowed — behind a pluggable {!Lb_policy} load
+    balancer, either on one shared {!Repro_engine.Sim} discrete-event
+    clock or one heap per instance under the windowed parallel engine
+    (see {!run_detailed}).
 
     State staleness is modelled with send/credit accounting: the balancer
     increments its per-server queue view when it dispatches a request and
@@ -121,17 +123,7 @@ val run :
     runs at the same seed see identical request sequences regardless of
     policy — policies are compared on the same work.
 
-    [engine] (default [Seq]) selects the shared-clock sequential engine or
-    the conservative time-window parallel engine
-    ({!Repro_engine.Par_sim}): one domain per server instance,
-    synchronized every [rtt/2] wire leg, results identical to [Seq] up to
-    same-nanosecond cross-instance tie-breaks and independent of the
-    domain count. A [Par] request degrades to [Seq] with a stderr warning
-    when the model has no lookahead ([rtt_cycles] rounding to a 0 ns wire
-    leg), when hedging is on (its synchronous winner-takes-all flag is a
-    zero-delay coupling), or when [tracer]/[on_decision] need the shared
-    clock; it raises when called inside {!Repro_engine.Pool.parallel_map}
-    (a [--jobs] sweep already owns the domains).
+    [engine] (default [Seq]) picks the driver; see {!run_detailed}.
 
     [warmup_frac]/[drain_cap_ns]/[seed] as in {!Repro_runtime.Server.run};
     the warm-up cutoff applies to global arrival ids, shared by the rack
@@ -157,7 +149,25 @@ val run_detailed :
   summary * Repro_engine.Stats.t
 (** Like {!run}, also returning the merged post-warm-up slowdown samples.
     [events_out], when given, receives the total simulation events
-    processed (the benchmark suite's events/sec numerator). *)
+    processed (the benchmark suite's events/sec numerator).
+
+    The rack is described once — balancer state and steps, the
+    shard-side handler, the end-of-run census and the summary — and
+    [engine] picks one of two drivers for it. [Seq] is the shared-clock
+    driver: every instance runs on one {!Repro_engine.Sim} with the
+    balancer, and completions and steal outcomes reach the balancer
+    inline. [Par] is the conservative time-window driver
+    ({!Repro_engine.Par_sim}): one domain per server instance,
+    synchronized every [rtt/2] wire leg, actions and records carried by
+    mailboxes; results match [Seq] up to same-nanosecond cross-instance
+    tie-breaks and never depend on the domain count. A [Par] request
+    degrades to [Seq] with a stderr warning when a coupling has no
+    delay: [rtt_cycles] rounding to a 0 ns wire leg, hedging (the
+    winner's completion flags the loser at once), a [tracer] (one buffer
+    for every instance) or [on_decision] (it reads every instance's live
+    queue). It raises when called inside
+    {!Repro_engine.Pool.parallel_map} (a [--jobs] sweep already owns the
+    domains). *)
 
 val check_invariants : summary -> (unit, string) result
 (** Conservation and sanity checks used by [make cluster-smoke] and tests:
