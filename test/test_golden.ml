@@ -196,6 +196,154 @@ let test_golden_rack () =
   in
   if failures <> [] then Alcotest.failf "rack goldens differ:\n%s" (String.concat "\n" failures)
 
+(* Raft paths: steady replication, leader failover at three and five
+   members, lease-read hedging with a straggler (alone and through a
+   kill), consensus reads, a single member and an overloaded group cut at
+   its drain cap. [raft_detail] prints every summary field; [md5] also
+   covers the client slowdown samples in insertion order, so a protocol
+   step that reorders one hand-off fails here even when no headline
+   figure moves. *)
+let metrics_detail (m : Repro_runtime.Metrics.summary) =
+  let module M = Repro_runtime.Metrics in
+  Printf.sprintf
+    "%.17g %d/%d/%d/%d %.17g %.17g %.17g %.17g %.17g %.17g %.17g %d %d %.17g %.17g %.17g %.17g %d"
+    m.M.offered_rps m.M.completed m.M.measured m.M.censored m.M.measured_censored m.M.goodput_rps
+    m.M.mean_slowdown m.M.p50_slowdown m.M.p99_slowdown m.M.p999_slowdown m.M.mean_sojourn_ns
+    m.M.p999_sojourn_ns m.M.preemptions m.M.steal_slices m.M.dispatcher_busy_frac
+    m.M.dispatcher_app_frac m.M.worker_busy_frac m.M.median_idle_gap_ns m.M.negative_idle_gaps
+  ^ String.concat ""
+      (Array.to_list (Array.map (fun (n, c, p) -> Printf.sprintf " %s:%d:%.17g" n c p) m.M.per_class))
+
+let raft_detail ((s : Repro_raft.Raft.summary), samples) =
+  let module R = Repro_raft.Raft in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  String.concat "\n"
+    (Printf.sprintf
+       "nodes=%d leases=%b requests=%d writes=%d reads=%d roles=%s alive=%s leader=%s term=%d \
+        elections=%d changes=%d committed=%d commit=%s log=%s wal=%s resub=%d parked=%d \
+        routed=%s hedges=%d/%d/%d/%d writes_hedged=%d engine=%s domains=%d"
+       s.R.nodes s.R.read_leases s.R.requests s.R.writes s.R.reads
+       (String.concat "," (Array.to_list (Array.map R.role_name s.R.roles)))
+       (String.concat "," (Array.to_list (Array.map string_of_bool s.R.alive)))
+       (match s.R.final_leader with Some l -> string_of_int l | None -> "none")
+       s.R.final_term s.R.elections s.R.leader_changes s.R.committed (ints s.R.commit_indexes)
+       (ints s.R.log_lengths) (ints s.R.wal_records) s.R.resubmissions s.R.parked
+       (ints s.R.routed) s.R.hedges s.R.hedge_wins s.R.hedge_cancels s.R.hedge_wasted_ns
+       s.R.writes_hedged
+       (Repro_engine.Par_sim.to_string s.R.engine)
+       s.R.domains_used
+    :: Printf.sprintf "write %.17g %.17g %.17g read %.17g %.17g %.17g p99 leader %.17g followers %.17g"
+         s.R.write_mean_ns s.R.write_p50_ns s.R.write_p99_ns s.R.read_mean_ns s.R.read_p50_ns
+         s.R.read_p99_ns s.R.leader_p99_slowdown s.R.follower_p99_slowdown
+    :: ("violations: " ^ String.concat "; " s.R.invariant_failures)
+    :: metrics_detail s.R.client
+    :: Array.to_list (Array.map metrics_detail s.R.per_node)
+    @ [
+        String.concat " "
+          (Array.to_list
+             (Array.map (Printf.sprintf "%.17g") (Repro_engine.Stats.values samples)));
+      ])
+
+let raft_fingerprint ((s : Repro_raft.Raft.summary), _ as run) =
+  fingerprint s.Repro_raft.Raft.client ^ " md5=" ^ Digest.to_hex (Digest.string (raft_detail run))
+
+let raft_run ?(nodes = 3) ?read_leases ?rtt_cycles ?hedge ?(stragglers = []) ?kill_leader_at_ns
+    ?(config = Repro_runtime.Systems.concord ~n_workers:4 ())
+    ?(mix = Repro_workload.Mix.of_dist ~name:"fixed" (Repro_workload.Service_dist.Fixed 50_000.))
+    ?(rate = 4.0e3) ?(n = 2_000) ?drain_cap_ns ?tracer () =
+  let raft =
+    Repro_raft.Raft.homogeneous ?read_leases ?rtt_cycles ?hedge ~stragglers ?kill_leader_at_ns
+      ~nodes config
+  in
+  Repro_raft.Raft.run_detailed ~raft ~mix
+    ~arrival:(Repro_workload.Arrival.Poisson { rate_rps = rate })
+    ~n_requests:n ?drain_cap_ns ?tracer ()
+
+let raft_runs =
+  let module Hedge = Repro_cluster.Hedge in
+  let kill = 100_000_000 in
+  [
+    ("steady-3", fun () -> raft_run ());
+    ("kill-3", fun () -> raft_run ~rate:8.0e3 ~kill_leader_at_ns:kill ());
+    ( "kill-5-rtt200k",
+      fun () -> raft_run ~nodes:5 ~rtt_cycles:200_000 ~rate:8.0e3 ~kill_leader_at_ns:kill () );
+    (* the raft-3node bench shape: default members, ycsb-a, 40% of the
+       group's consensus-aware capacity *)
+    ( "hedge-fixed:150000-straggler-1:3",
+      fun () ->
+        raft_run ~hedge:(Hedge.Fixed { delay_ns = 150_000 }) ~stragglers:[ (1, 3.0) ]
+          ~config:(Repro_runtime.Systems.concord ()) ~mix:Repro_workload.Presets.ycsb_a
+          ~rate:55.9e3 () );
+    ( "hedge-pct:99-kill",
+      fun () ->
+        raft_run ~hedge:(Hedge.Percentile { pct = 99.0 }) ~stragglers:[ (1, 3.0) ] ~rate:8.0e3
+          ~kill_leader_at_ns:kill () );
+    ("leases-off", fun () -> raft_run ~read_leases:false ());
+    ("single", fun () -> raft_run ~nodes:1 ());
+    ("overload-3", fun () -> raft_run ~rate:60.0e3 ~drain_cap_ns:0 ());
+  ]
+
+(* Captured at the commit before the protocol steps inside
+   [Raft.run_detailed] were each written once; that rewrite must
+   reproduce every one. *)
+let golden_raft =
+  [
+    ("steady-3",
+     "p50=1.10392 p99=17.078700000000001 goodput=4148.0769828517759 md5=6afb0602a0f5bada7ea5f1b2add19261");
+    ("kill-3",
+     "p50=1.10616 p99=17.971160000000001 goodput=8280.9192168129266 md5=e69f4bc68e8ad7eb780792bc5520c5c5");
+    ("kill-5-rtt200k",
+     "p50=1.1086400000000001 p99=10.702439999999999 goodput=8293.8929923308442 md5=04cb9327f357bd12c30e0e8cbde0a7c7");
+    ("hedge-fixed:150000-straggler-1:3",
+     "p50=9.0894999999999992 p99=800.81899999999996 goodput=56618.134650128552 md5=92462f090054034e5b24587d5c564b1d");
+    ("hedge-pct:99-kill",
+     "p50=17.071100000000001 p99=9185.7630800000006 goodput=2528.2413792544512 md5=daa8d159f7f44ed1a9d24f8c4b0da960");
+    ("leases-off",
+     "p50=17.069220000000001 p99=17.86806 goodput=4155.7218804741251 md5=f711ea0ee44fb410564bcced56c75432");
+    ("single",
+     "p50=1.1050599999999999 p99=4.2557 goodput=4154.2148979382446 md5=f7fee08f3a692eacca104d3b3905d9fb");
+    ("overload-3",
+     "p50=54.02422 p99=328.21980000000002 goodput=40485.542201752905 md5=efbc6e4898c50d1ad6767b87a95bbec7");
+  ]
+
+let test_golden_raft () =
+  let failures =
+    List.filter_map
+      (fun (name, run) ->
+        let r = run () in
+        let got = raft_fingerprint r in
+        match List.assoc_opt name golden_raft with
+        | Some want when String.equal want got -> None
+        | _ -> Some (Printf.sprintf "(%S, %S);\n%s" name got (raft_detail r)))
+      raft_runs
+  in
+  if failures <> [] then Alcotest.failf "raft goldens differ:\n%s" (String.concat "\n" failures)
+
+(* Every event a traced, hedged failover records — front-end arrivals,
+   consensus hand-offs, replays, hedge duplicates, member scheduling — in
+   ring order. *)
+let golden_raft_trace = "entries=360950 dropped=0 md5=8349e5425ba7903cc6d6dfab5b720dad"
+
+let test_golden_raft_trace () =
+  let tracer = Repro_runtime.Tracing.create ~capacity:1_000_000 () in
+  let s, _ =
+    raft_run ~n:600 ~rate:8.0e3
+      ~hedge:(Repro_cluster.Hedge.Percentile { pct = 99.0 })
+      ~stragglers:[ (1, 3.0) ] ~kill_leader_at_ns:40_000_000 ~tracer ()
+  in
+  if s.Repro_raft.Raft.hedges = 0 || s.Repro_raft.Raft.resubmissions = 0 then
+    Alcotest.fail "the traced run must hedge and replay";
+  let buf = Buffer.create (1 lsl 20) in
+  Repro_runtime.Tracing.iter_entries tracer ~f:(fun e ->
+      Buffer.add_string buf (Repro_runtime.Tracing.entry_to_string e);
+      Buffer.add_char buf '\n');
+  let got =
+    Printf.sprintf "entries=%d dropped=%d md5=%s" (Repro_runtime.Tracing.length tracer)
+      (Repro_runtime.Tracing.dropped tracer)
+      (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  Alcotest.(check string) "traced hedged failover" golden_raft_trace got
+
 (* [Gc.allocated_bytes] itself allocates a boxed float per call; measure
    that overhead first and subtract it. *)
 let probe_overhead () =
@@ -327,6 +475,11 @@ let suite =
       test_heap_churn_zero_alloc;
     Alcotest.test_case "Discrete sampling allocation independent of entry count" `Quick
       test_discrete_sample_alloc_size_independent;
+    (* After the allocation tests: the heap these runs leave behind skews
+       their [Gc.allocated_bytes] deltas. *)
+    Alcotest.test_case "raft paths bit-identical (failover, hedge, leases, overload)" `Quick
+      test_golden_raft;
+    Alcotest.test_case "raft trace bit-identical" `Quick test_golden_raft_trace;
     (* Last: its windowed runs spawn domains, whose allocation counts the
        GC may fold into [Gc.allocated_bytes] only later, inside the
        measured window of an allocation test that ran after it. *)
