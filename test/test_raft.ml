@@ -152,6 +152,19 @@ let test_hedge_reads_never_writes () =
     (s.Raft.hedge_wins + (s.Raft.hedge_cancels - s.Raft.hedge_wins));
   Alcotest.(check bool) "losing legs cancelled" true (s.Raft.hedge_cancels >= s.Raft.hedge_wins)
 
+(* --- configuration checks ------------------------------------------------ *)
+
+let test_negative_cancel_cost_rejected () =
+  (* rejected where the group is described, like Cluster.make, not deep
+     inside the run when the first member instance is built *)
+  Alcotest.check_raises "negative cancel cost"
+    (Invalid_argument "Raft.make: cancel_cost_cycles must be >= 0") (fun () ->
+      ignore
+        (Raft.homogeneous ~cancel_cost_cycles:(-5)
+           ~hedge:(Hedge.Fixed { delay_ns = 150_000 })
+           ~nodes:3 (small_config ())));
+  ignore (Raft.homogeneous ~cancel_cost_cycles:0 ~nodes:3 (small_config ()))
+
 (* --- Instance.cancel after completion (documented no-op) ------------------ *)
 
 type cancel_ev = Inst of Server.event | Cancel_now
@@ -201,6 +214,8 @@ let suite =
     Alcotest.test_case "failover is deterministic" `Quick test_failover_deterministic;
     Alcotest.test_case "hedging duplicates reads, never writes" `Quick
       test_hedge_reads_never_writes;
+    Alcotest.test_case "negative cancel cost is rejected" `Quick
+      test_negative_cancel_cost_rejected;
     Alcotest.test_case "cancel after completion is a no-op" `Quick
       test_cancel_completed_request_is_noop;
   ]
