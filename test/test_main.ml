@@ -14,7 +14,6 @@ let () =
       ("engine.queueing", Test_queueing.suite);
       ("hw", Test_hw.suite);
       ("workload", Test_workload.suite);
-      ("workload.trace-io", Test_trace_io.suite);
       ("runtime.units", Test_runtime_units.suite);
       ("runtime.policy", Test_policy.suite);
       ("runtime.server", Test_server.suite);
