@@ -20,6 +20,18 @@ let fingerprint (s : Repro_runtime.Metrics.summary) =
   Printf.sprintf "p50=%.17g p99=%.17g goodput=%.17g" s.Repro_runtime.Metrics.p50_slowdown
     s.Repro_runtime.Metrics.p99_slowdown s.Repro_runtime.Metrics.goodput_rps
 
+(* Every [Metrics.summary] field, floats at 17 significant digits. *)
+let metrics_detail (m : Repro_runtime.Metrics.summary) =
+  let module M = Repro_runtime.Metrics in
+  Printf.sprintf
+    "%.17g %d/%d/%d/%d %.17g %.17g %.17g %.17g %.17g %.17g %.17g %d %d %.17g %.17g %.17g %.17g %d"
+    m.M.offered_rps m.M.completed m.M.measured m.M.censored m.M.measured_censored m.M.goodput_rps
+    m.M.mean_slowdown m.M.p50_slowdown m.M.p99_slowdown m.M.p999_slowdown m.M.mean_sojourn_ns
+    m.M.p999_sojourn_ns m.M.preemptions m.M.steal_slices m.M.dispatcher_busy_frac
+    m.M.dispatcher_app_frac m.M.worker_busy_frac m.M.median_idle_gap_ns m.M.negative_idle_gaps
+  ^ String.concat ""
+      (Array.to_list (Array.map (fun (n, c, p) -> Printf.sprintf " %s:%d:%.17g" n c p) m.M.per_class))
+
 (* Captured after the arrival-gap rounding fix (Arrival.next_gap_ns now
    rounds to nearest instead of truncating, an intended behaviour change
    that shifts every Poisson gap by up to half a nanosecond); everything
@@ -73,6 +85,113 @@ let test_golden_cluster () =
       Alcotest.(check string) ("cluster/" ^ name) (List.assoc name golden_cluster)
         (fingerprint s.Repro_cluster.Cluster.cluster))
     systems
+
+(* Standalone server paths: every [Systems.table] entry on ycsb-a, the
+   rank-heap policies on a live ZippyDB store (lock windows, Gittins and
+   per-opcode estimates), and ingress batching under a burst of short
+   requests. [md5] covers every summary field, the slowdown samples in
+   insertion order and the simulated event count, so a dispatcher or
+   worker step that fires one event more or less fails here even when no
+   percentile moves. *)
+let samples_detail samples =
+  String.concat " "
+    (Array.to_list (Array.map (Printf.sprintf "%.17g") (Repro_engine.Stats.values samples)))
+
+let standalone_run ?tracer ~config ~mix ~rate ~n () =
+  let events = ref 0 in
+  let s, samples =
+    Repro_runtime.Server.run_detailed ~config ~mix
+      ~arrival:(Repro_workload.Arrival.Poisson { rate_rps = rate })
+      ~n_requests:n ~seed:7 ?tracer ~events_out:events ()
+  in
+  String.concat "\n"
+    [ Printf.sprintf "events=%d" !events; metrics_detail s; samples_detail samples ]
+
+let standalone_path_runs =
+  let ycsb name () =
+    standalone_run ~config:(config_of name) ~mix:Repro_workload.Presets.ycsb_a ~rate:2.0e5
+      ~n:3_000 ()
+  in
+  let zippydb spec () =
+    let module Kv = Repro_kvstore.Kv_workload in
+    let store = Kv.populate ~n_keys:2_000 ~seed:11 () in
+    let mix = Kv.zippydb_mix store ~seed:11 in
+    let policy =
+      match Repro_runtime.Policy.of_spec spec ~mix with
+      | Ok p -> p
+      | Error e -> Alcotest.fail e
+    in
+    standalone_run
+      ~config:{ (Repro_runtime.Systems.concord ()) with Repro_runtime.Config.policy }
+      ~mix ~rate:3.0e5 ~n:3_000 ()
+  in
+  List.map (fun name -> ("ycsb-a/" ^ name, ycsb name)) Repro_runtime.Systems.all_names
+  @ [
+      ("zippydb/gittins", zippydb "gittins");
+      ("zippydb/srpt-kv", zippydb "srpt-kv");
+      ( "usr/concord-batched",
+        fun () ->
+          standalone_run ~config:(config_of "concord-batched") ~mix:Repro_workload.Presets.usr
+            ~rate:2.0e6 ~n:3_000 () );
+    ]
+
+let digest_line name detail = Printf.sprintf "(%S, %S);" name (Digest.to_hex (Digest.string detail))
+
+(* Captured at the commit before the server event path stopped allocating
+   per event; that rewrite must reproduce every one. *)
+let golden_standalone_paths =
+  [
+    ("ycsb-a/shinjuku", "fc73804d29e8beb4e6261c210e9f8d27");
+    ("ycsb-a/shinjuku-whole-call", "3074b97a503320cb0b96f20d3b1c3cfd");
+    ("ycsb-a/persephone", "fcb7247bc13f68ffe15f5a750d1b7a7f");
+    ("ycsb-a/concord", "4bdad36845ba7cbc4b0ae48801081f1b");
+    ("ycsb-a/concord-no-steal", "ecc79914aa869d3cefd88ca0ea91dcf7");
+    ("ycsb-a/coop-sq", "f2ddcbec62d332fcb7f0e146a7079182");
+    ("ycsb-a/coop-jbsq", "ecc79914aa869d3cefd88ca0ea91dcf7");
+    ("ycsb-a/concord-uipi", "b03a50330cc0af1f1937f782ed0fcd74");
+    ("ycsb-a/concord-batched", "a1c830f750bd23ed482f876d4414ff16");
+    ("ycsb-a/srpt", "7871ac282f928db3e4b4a24b1c9d275b");
+    ("ycsb-a/srpt-noisy", "d28ed9231c1eeec0f24f7c1d4baa354a");
+    ("ycsb-a/concord-adaptive", "88d5391faa541b280873918bf493cdc6");
+    ("ycsb-a/locality", "1e7e968db8bbf6c8b1156bbb376f9f3d");
+    ("zippydb/gittins", "e870b60898380b1fc294df6f243e72af");
+    ("zippydb/srpt-kv", "788238aac2be7ec6ff1e00ebc5d8a25e");
+    ("usr/concord-batched", "a7cfda430584792e4ccb88c4bcf44735");
+  ]
+
+let test_golden_standalone_paths () =
+  let failures =
+    List.filter_map
+      (fun (name, run) ->
+        let detail = run () in
+        match List.assoc_opt name golden_standalone_paths with
+        | Some want when String.equal want (Digest.to_hex (Digest.string detail)) -> None
+        | _ -> Some (digest_line name detail))
+      standalone_path_runs
+  in
+  if failures <> [] then
+    Alcotest.failf "standalone path goldens differ:\n%s" (String.concat "\n" failures)
+
+(* Every lifecycle event a traced concord run records, in ring order. *)
+let golden_standalone_trace = "entries=51030 dropped=0 md5=e00d1d3e4a8679615e1f3c7537717311"
+
+let test_golden_standalone_trace () =
+  let tracer = Repro_runtime.Tracing.create ~capacity:1_000_000 () in
+  let detail =
+    standalone_run ~tracer ~config:(config_of "concord") ~mix:Repro_workload.Presets.ycsb_a
+      ~rate:2.0e5 ~n:1_000 ()
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  Buffer.add_string buf detail;
+  Repro_runtime.Tracing.iter_entries tracer ~f:(fun e ->
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (Repro_runtime.Tracing.entry_to_string e));
+  let got =
+    Printf.sprintf "entries=%d dropped=%d md5=%s" (Repro_runtime.Tracing.length tracer)
+      (Repro_runtime.Tracing.dropped tracer)
+      (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  Alcotest.(check string) "traced concord run" golden_standalone_trace got
 
 (* Rack paths the rtt-0 Po2c goldens above never reach: a nonzero wire
    leg, stealing, each hedging policy, JBSQ parking with balancer-side
@@ -203,17 +322,6 @@ let test_golden_rack () =
    covers the client slowdown samples in insertion order, so a protocol
    step that reorders one hand-off fails here even when no headline
    figure moves. *)
-let metrics_detail (m : Repro_runtime.Metrics.summary) =
-  let module M = Repro_runtime.Metrics in
-  Printf.sprintf
-    "%.17g %d/%d/%d/%d %.17g %.17g %.17g %.17g %.17g %.17g %.17g %d %d %.17g %.17g %.17g %.17g %d"
-    m.M.offered_rps m.M.completed m.M.measured m.M.censored m.M.measured_censored m.M.goodput_rps
-    m.M.mean_slowdown m.M.p50_slowdown m.M.p99_slowdown m.M.p999_slowdown m.M.mean_sojourn_ns
-    m.M.p999_sojourn_ns m.M.preemptions m.M.steal_slices m.M.dispatcher_busy_frac
-    m.M.dispatcher_app_frac m.M.worker_busy_frac m.M.median_idle_gap_ns m.M.negative_idle_gaps
-  ^ String.concat ""
-      (Array.to_list (Array.map (fun (n, c, p) -> Printf.sprintf " %s:%d:%.17g" n c p) m.M.per_class))
-
 let raft_detail ((s : Repro_raft.Raft.summary), samples) =
   let module R = Repro_raft.Raft in
   let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
@@ -470,6 +578,9 @@ let suite =
     Alcotest.test_case "branching-IR overhead bit-identical" `Quick
       test_golden_branching_overhead;
     Alcotest.test_case "cluster metrics bit-identical to seed" `Quick test_golden_cluster;
+    Alcotest.test_case "standalone paths bit-identical (every system, zippydb, batching)" `Quick
+      test_golden_standalone_paths;
+    Alcotest.test_case "standalone trace bit-identical" `Quick test_golden_standalone_trace;
     Alcotest.test_case "Sim.run allocates zero words/event" `Quick test_sim_run_zero_alloc;
     Alcotest.test_case "Heap add+pop allocates zero words/op" `Quick
       test_heap_churn_zero_alloc;
