@@ -1,7 +1,7 @@
 # Tier-1 verification in one command.
 .PHONY: all check build test bench bench-json bench-json-quick trace-smoke cluster-smoke \
 	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint bench-args \
-	cli-args clean
+	cli-args perfbench-smoke clean
 
 all: build
 
@@ -130,12 +130,24 @@ cli-args:
 		fi; \
 	done
 
+# Benchmark smoke test: each perfbench workload must build, run a short
+# untraced measurement and pass its own output checks. run.py's last line
+# is a JSON report; it must say "correct": true and "failed": 0.
+perfbench-smoke:
+	for w in server-bimodal server-zippydb rack-seq raft-3node; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1 \
+			| python3 -c 'import json, sys; r = json.load(sys.stdin); \
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+			|| { echo "perfbench-smoke: $$w failed"; exit 1; }; \
+	done
+
 # What CI (and every PR) must keep green.
 check:
 	dune build && dune runtest && $(MAKE) lint && $(MAKE) trace-smoke && $(MAKE) cluster-smoke \
 		&& $(MAKE) policy-smoke && $(MAKE) hedge-smoke && $(MAKE) raft-smoke \
 		&& $(MAKE) par-smoke && $(MAKE) model-smoke && $(MAKE) verify-probes-smoke \
-		&& $(MAKE) bench-args && $(MAKE) cli-args && $(MAKE) bench-json-quick
+		&& $(MAKE) bench-args && $(MAKE) cli-args && $(MAKE) bench-json-quick \
+		&& $(MAKE) perfbench-smoke
 
 bench:
 	dune exec bench/main.exe

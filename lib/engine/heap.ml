@@ -101,8 +101,11 @@ let min_key h = if h.size = 0 then None else Some h.keys.(0)
 
 (* Non-allocating variants of [min_key]/[pop] for the event-loop hot path.
    Callers must guard with [is_empty]: on an empty heap [unsafe_min_key]
-   returns whatever stale key sits in slot 0, and [pop_unsafe] raises. *)
+   and [unsafe_min_seq] return whatever stale entry sits in slot 0, and
+   [pop_unsafe] raises. *)
 let unsafe_min_key h = Array.unsafe_get h.keys 0
+let unsafe_min_seq h = Array.unsafe_get h.seqs 0
+let next_seq h = h.next_seq
 
 let pop_unsafe h =
   if h.size = 0 then invalid_arg "Heap.pop_unsafe: empty";
@@ -121,10 +124,6 @@ let pop h =
     if n > 0 then sift_down h h.keys.(n) h.seqs.(n) h.vals.(n) 0;
     Some (key, v)
   end
-
-let clear h =
-  h.size <- 0;
-  h.next_seq <- 0
 
 let iter h ~f =
   for i = 0 to h.size - 1 do

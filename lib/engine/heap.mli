@@ -31,13 +31,18 @@ val unsafe_min_key : 'a t -> int
     The caller must check {!is_empty} first: on an empty heap the result is
     meaningless (whatever key slot 0 last held). *)
 
+val unsafe_min_seq : 'a t -> int
+(** Insertion sequence number of the minimum entry: the value {!next_seq}
+    had when it was added. Same guard as {!unsafe_min_key}. *)
+
+val next_seq : 'a t -> int
+(** The sequence number the next {!add} will assign. Sequence numbers start
+    at 0, grow by one per [add] and never repeat within a heap. *)
+
 val pop_unsafe : 'a t -> 'a
 (** Remove the minimum entry and return its value without allocating; read
     the key beforehand with {!unsafe_min_key}. O(log n). Raises
     [Invalid_argument] on an empty heap — guard with {!is_empty}. *)
-
-val clear : 'a t -> unit
-(** Remove all entries. Does not shrink the backing array. *)
 
 val iter : 'a t -> f:(key:int -> 'a -> unit) -> unit
 (** Apply [f] to every entry in unspecified order. *)

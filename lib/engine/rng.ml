@@ -106,11 +106,19 @@ let split t =
   let seed = Int64.to_int (bits64 t) in
   create ~seed
 
-(* Top 53 bits scaled into [0,1). [(v >>> 11)] as limbs is
-   [(hi << 21) + (lo >>> 11)], an exact integer below 2^53. *)
-let float t =
+(* The top 53 bits of the next output: [(v >>> 11)] as limbs is
+   [(hi << 21) + (lo >>> 11)], an exact integer below 2^53. [float] scales
+   them into [0,1). *)
+let bits53 t =
   step t;
-  float_of_int ((t.rh lsl 21) lor (t.rl lsr 11)) *. 0x1.0p-53
+  (t.rh lsl 21) lor (t.rl lsr 11)
+
+let float t = float_of_int (bits53 t) *. 0x1.0p-53
+
+(* [int_of_float (float t *. scale)] with the same two roundings, written
+   out so the intermediate float never leaves registers: a call to [float]
+   returns it boxed. *)
+let scaled_int t ~scale = int_of_float (float_of_int (bits53 t) *. 0x1.0p-53 *. scale)
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -24,6 +24,9 @@ val bits64 : t -> int64
 val float : t -> float
 (** Uniform float in [0, 1). *)
 
+val scaled_int : t -> scale:float -> int
+(** [int_of_float (float t *. scale)], bit for bit, without allocating. *)
+
 val int : t -> bound:int -> int
 (** Uniform integer in [0, bound). [bound] must be positive. *)
 

@@ -2,11 +2,12 @@ type 'e t = {
   mutable now : int;
   mutable stopped : bool;
   mutable processed : int;
+  mutable current_seq : int;
   events : 'e Heap.t;
 }
 
 let create ?(capacity = 1024) () =
-  { now = 0; stopped = false; processed = 0; events = Heap.create ~capacity () }
+  { now = 0; stopped = false; processed = 0; current_seq = -1; events = Heap.create ~capacity () }
 
 let now t = t.now
 
@@ -23,6 +24,8 @@ let pending t = Heap.length t.events
 let next_time t =
   if Heap.is_empty t.events then max_int else Heap.unsafe_min_key t.events
 let events_processed t = t.processed
+let current_seq t = t.current_seq
+let next_seq t = Heap.next_seq t.events
 let stop t = t.stopped <- true
 
 (* The loop body allocates nothing: key and value come out of the heap
@@ -37,6 +40,7 @@ let run t ?until ~handler () =
     if (not t.stopped) && not (Heap.is_empty events) then begin
       let key = Heap.unsafe_min_key events in
       if key <= horizon then begin
+        t.current_seq <- Heap.unsafe_min_seq events;
         let e = Heap.pop_unsafe events in
         t.now <- key;
         t.processed <- t.processed + 1;

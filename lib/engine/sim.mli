@@ -35,6 +35,19 @@ val events_processed : 'e t -> int
     The simulated-events/sec figures in [bench/main.exe --json] divide this
     by wall time. *)
 
+val current_seq : 'e t -> int
+(** Sequence number of the event whose handler is running (or ran last;
+    -1 before the first). Every schedule gets the next number in one
+    per-simulation series, so [current_seq t >= m] says the event was
+    scheduled no earlier than the moment {!next_seq} returned [m]. Models
+    use that as a liveness mark: record [next_seq] when a pending event
+    goes stale, and ignore events whose sequence number is below the mark.
+    Stale events then need no epoch field in their payload. *)
+
+val next_seq : 'e t -> int
+(** The sequence number the next {!schedule_at} / {!schedule_after} will
+    assign. *)
+
 val stop : 'e t -> unit
 (** Make the current [run] return after the in-flight handler finishes. *)
 

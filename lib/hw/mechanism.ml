@@ -47,7 +47,7 @@ let yield_lateness_ns t ~costs:(_ : Costs.t) ~rng ~probe_spacing_ns =
     (* The signal lands somewhere inside the current inter-probe gap; the
        worker reaches the next probe after the residual of that gap. *)
     if probe_spacing_ns <= 0.0 then 0
-    else int_of_float (Repro_engine.Rng.float rng *. probe_spacing_ns)
+    else Repro_engine.Rng.scaled_int rng ~scale:probe_spacing_ns
   | Model_lateness { sigma_ns } ->
     if sigma_ns <= 0.0 then 0
     else

@@ -19,5 +19,9 @@ val push : t -> Request.t -> unit
 (** Raises [Invalid_argument] when full — the dispatcher's slot accounting
     must prevent this, and the exception catches accounting bugs. *)
 
+val pop_unsafe : t -> Request.t
+(** FIFO dequeue without the option box. Raises [Invalid_argument] when
+    empty — guard with {!is_empty}. *)
+
 val pop : t -> Request.t option
-(** FIFO dequeue. *)
+(** FIFO dequeue, [None] when empty. *)

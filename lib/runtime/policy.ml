@@ -23,95 +23,137 @@ let kind_name = function
    "anything stealable?" check is O(1) instead of a full-queue scan under
    backlog. Membership is decided by [req.started] at push time, which is
    sound because the server only flips [started] after removing a request
-   from the central queue. *)
-module Dlq = struct
-  type node = {
-    req : Request.t;
-    mutable prev : node option;
-    mutable next : node option;
-    mutable fprev : node option; (* fresh-sublist links *)
-    mutable fnext : node option;
-    mutable in_fresh : bool;
-  }
+   from the central queue.
 
+   A node is an index into parallel arrays, so relinking one writes plain
+   ints and never pays the GC write barrier; only the request slot holds
+   a pointer. Node 0 is the sentinel: both lists are rings through it, so
+   no link is ever optional, and its [prev]/[fprev] are the two tails. A
+   removed node goes to a free list (chained through [next]) with its
+   request slot cleared, and the next push reuses it; the arrays double
+   only when every node is in use, so in the steady state a push/pop pair
+   allocates nothing. [fprev] is -1 on nodes outside the fresh list. *)
+module Dlq = struct
   type t = {
-    mutable head : node option;
-    mutable tail : node option;
+    mutable reqs : Request.t array;
+    mutable prev : int array;
+    mutable next : int array;
+    mutable fprev : int array;
+    mutable fnext : int array;
+    mutable free : int; (* first recycled node; [nil] when none is left *)
     mutable size : int;
-    mutable fhead : node option;
-    mutable ftail : node option;
     mutable n_fresh : int;
   }
 
+  let nil = 0
+
+  (* Chain nodes [from .. capacity - 1] into the free list. *)
+  let chain_free t from =
+    let cap = Array.length t.reqs in
+    for i = from to cap - 2 do
+      t.next.(i) <- i + 1
+    done;
+    t.next.(cap - 1) <- nil;
+    t.free <- from
+
   let create () =
-    { head = None; tail = None; size = 0; fhead = None; ftail = None; n_fresh = 0 }
+    let cap = 16 in
+    let t =
+      {
+        reqs = Array.make cap Request.none;
+        prev = Array.make cap nil;
+        next = Array.make cap nil;
+        fprev = Array.make cap nil;
+        fnext = Array.make cap nil;
+        free = nil;
+        size = 0;
+        n_fresh = 0;
+      }
+    in
+    chain_free t 1;
+    t
+
+  let grow t =
+    let old = Array.length t.reqs in
+    let extend a fill =
+      let b = Array.make (2 * old) fill in
+      Array.blit a 0 b 0 old;
+      b
+    in
+    t.reqs <- extend t.reqs Request.none;
+    t.prev <- extend t.prev nil;
+    t.next <- extend t.next nil;
+    t.fprev <- extend t.fprev nil;
+    t.fnext <- extend t.fnext nil;
+    chain_free t old
 
   let push_tail t req =
-    let fresh = not req.Request.started in
-    let node =
-      { req; prev = t.tail; next = None; fprev = t.ftail; fnext = None; in_fresh = fresh }
-    in
-    (match t.tail with None -> t.head <- Some node | Some tl -> tl.next <- Some node);
-    t.tail <- Some node;
+    if t.free = nil then grow t;
+    let node = t.free in
+    t.free <- t.next.(node);
+    t.reqs.(node) <- req;
+    let tail = t.prev.(nil) in
+    t.prev.(node) <- tail;
+    t.next.(node) <- nil;
+    t.next.(tail) <- node;
+    t.prev.(nil) <- node;
     t.size <- t.size + 1;
-    if fresh then begin
-      (match t.ftail with None -> t.fhead <- Some node | Some ftl -> ftl.fnext <- Some node);
-      t.ftail <- Some node;
+    if req.Request.started then t.fprev.(node) <- -1
+    else begin
+      let ftail = t.fprev.(nil) in
+      t.fprev.(node) <- ftail;
+      t.fnext.(node) <- nil;
+      t.fnext.(ftail) <- node;
+      t.fprev.(nil) <- node;
       t.n_fresh <- t.n_fresh + 1
     end
-    else node.fprev <- None
 
-  let remove t node =
-    (match node.prev with None -> t.head <- node.next | Some p -> p.next <- node.next);
-    (match node.next with None -> t.tail <- node.prev | Some n -> n.prev <- node.prev);
-    node.prev <- None;
-    node.next <- None;
+  (* Unlink [node], recycle it and return its request. *)
+  let take t node =
+    let p = t.prev.(node) and n = t.next.(node) in
+    t.next.(p) <- n;
+    t.prev.(n) <- p;
     t.size <- t.size - 1;
-    if node.in_fresh then begin
-      (match node.fprev with None -> t.fhead <- node.fnext | Some p -> p.fnext <- node.fnext);
-      (match node.fnext with None -> t.ftail <- node.fprev | Some n -> n.fprev <- node.fprev);
-      node.fprev <- None;
-      node.fnext <- None;
-      node.in_fresh <- false;
+    let fp = t.fprev.(node) in
+    if fp >= 0 then begin
+      let fn = t.fnext.(node) in
+      t.fnext.(fp) <- fn;
+      t.fprev.(fn) <- fp;
       t.n_fresh <- t.n_fresh - 1
-    end
+    end;
+    let req = t.reqs.(node) in
+    t.reqs.(node) <- Request.none;
+    t.next.(node) <- t.free;
+    t.free <- node;
+    req
 
   let pop_head t =
-    match t.head with
-    | None -> None
-    | Some node ->
-      remove t node;
-      Some node.req
+    if t.size = 0 then invalid_arg "Policy.pop_unsafe: empty";
+    take t t.next.(nil)
 
   (* Both lists append at the tail, so the fresh sublist preserves main-list
      (arrival) order: popping its head is exactly the first not-started
-     request the old full scan would have found. *)
+     request a full scan would find. *)
   let pop_fresh_head t =
-    match t.fhead with
-    | None -> None
-    | Some node ->
-      remove t node;
-      Some node.req
+    if t.n_fresh = 0 then invalid_arg "Policy.pop_not_started_unsafe: none";
+    take t t.fnext.(nil)
 
-  let find t ~limit ~pred =
-    let rec scan node i =
-      match node with
-      | None -> None
-      | Some n ->
-        if i >= limit then None
-        else if pred n.req then Some n
-        else scan n.next (i + 1)
-    in
-    scan t.head 0
+  (* First of the leading [limit] nodes whose request last ran on
+     [worker], or [nil]. *)
+  let find_last_worker t ~limit ~worker =
+    let node = ref t.next.(nil) and i = ref 0 in
+    while !node <> nil && !i < limit && t.reqs.(!node).Request.last_worker <> worker do
+      node := t.next.(!node);
+      incr i
+    done;
+    if !i < limit then !node else nil
 
   let iter t ~f =
-    let rec go = function
-      | None -> ()
-      | Some n ->
-        f n.req;
-        go n.next
-    in
-    go t.head
+    let node = ref t.next.(nil) in
+    while !node <> nil do
+      f t.reqs.(!node);
+      node := t.next.(!node)
+    done
 end
 
 (* How many queue entries the locality policy may inspect; bounded so the
@@ -191,40 +233,34 @@ let push_preempted t req =
   | List_queue { q; _ } -> Dlq.push_tail q req
   | Rank_queue { started; started_key; _ } -> Heap.add started ~key:(started_key req) req
 
-let pop t ~worker =
+let pop_unsafe t ~worker =
   match t with
-  | List_queue { kind = Locality_fcfs; q } -> begin
-    let local =
-      Dlq.find q ~limit:locality_scan_limit ~pred:(fun r -> r.Request.last_worker = worker)
-    in
-    match local with
-    | Some node ->
-      Dlq.remove q node;
-      Some node.Dlq.req
-    | None -> Dlq.pop_head q
-  end
+  | List_queue { kind = Locality_fcfs; q } ->
+    let node = Dlq.find_last_worker q ~limit:locality_scan_limit ~worker in
+    if node = Dlq.nil then Dlq.pop_head q else Dlq.take q node
   | List_queue { q; _ } -> Dlq.pop_head q
   | Rank_queue { fresh; started; _ } ->
-    (* Unsafe heap accessors: no (key, value) tuple or nested option per
-       pop. Ties between the two heaps go to [fresh], as before. *)
-    let no_fresh = Heap.is_empty fresh and no_started = Heap.is_empty started in
-    if no_fresh && no_started then None
-    else if
-      no_started
-      || ((not no_fresh) && Heap.unsafe_min_key fresh <= Heap.unsafe_min_key started)
-    then Some (Heap.pop_unsafe fresh)
-    else Some (Heap.pop_unsafe started)
+    (* Ties between the two heaps go to [fresh]. *)
+    if
+      Heap.is_empty started
+      || ((not (Heap.is_empty fresh))
+         && Heap.unsafe_min_key fresh <= Heap.unsafe_min_key started)
+    then Heap.pop_unsafe fresh
+    else Heap.pop_unsafe started
 
-let pop_not_started t =
+let pop t ~worker = if is_empty t then None else Some (pop_unsafe t ~worker)
+
+let pop_not_started_unsafe t =
   match t with
   | List_queue { q; _ } -> Dlq.pop_fresh_head q
-  | Rank_queue { fresh; _ } ->
-    if Heap.is_empty fresh then None else Some (Heap.pop_unsafe fresh)
+  | Rank_queue { fresh; _ } -> Heap.pop_unsafe fresh
 
 let has_not_started t =
   match t with
   | List_queue { q; _ } -> q.Dlq.n_fresh > 0
   | Rank_queue { fresh; _ } -> not (Heap.is_empty fresh)
+
+let pop_not_started t = if has_not_started t then Some (pop_not_started_unsafe t) else None
 
 let iter t ~f =
   match t with

@@ -66,14 +66,24 @@ val push_new : t -> Request.t -> unit
 val push_preempted : t -> Request.t -> unit
 (** Re-admit a preempted request. *)
 
-val pop : t -> worker:int -> Request.t option
-(** Next request to hand to [worker] under the policy. *)
+val pop_unsafe : t -> worker:int -> Request.t
+(** Next request to hand to [worker] under the policy. Allocates nothing;
+    raises [Invalid_argument] when the queue is empty — guard with
+    {!is_empty}. *)
 
-val pop_not_started : t -> Request.t option
+val pop : t -> worker:int -> Request.t option
+(** {!pop_unsafe}, or [None] when the queue is empty. *)
+
+val pop_not_started_unsafe : t -> Request.t
 (** First request that has never executed — the only kind the
     work-conserving dispatcher may steal (§3.3). O(1) for every policy:
     the rank queues keep fresh requests in their own heap, and the FCFS
-    list threads them on an intrusive sublist. *)
+    list threads them on an intrusive sublist. Allocates nothing; raises
+    [Invalid_argument] when there is none — guard with
+    {!has_not_started}. *)
+
+val pop_not_started : t -> Request.t option
+(** {!pop_not_started_unsafe}, or [None] when there is none. *)
 
 val has_not_started : t -> bool
 (** O(1). *)

@@ -35,6 +35,25 @@ let create ~id ~arrival_ns ~(profile : Repro_workload.Mix.profile) =
     hedge_of = -1;
   }
 
+let none =
+  {
+    id = -1;
+    class_id = -1;
+    arrival_ns = 0;
+    service_ns = 0;
+    lock_windows = [||];
+    probe_spacing_ns = 0.0;
+    estimate_ns = 0;
+    done_ns = 0;
+    started = false;
+    dispatcher_owned = false;
+    last_worker = -1;
+    preemptions = 0;
+    completion_ns = -1;
+    cancelled = false;
+    hedge_of = -1;
+  }
+
 (* A hedge duplicate: same arrival and service profile as the primary, a
    fresh id for separate per-leg progress, and [hedge_of] pointing back so
    metrics account both legs against one arrival. *)
@@ -58,16 +77,16 @@ let origin_id t = if t.hedge_of >= 0 then t.hedge_of else t.id
 let remaining_ns t = t.service_ns - t.done_ns
 let is_complete t = t.completion_ns >= 0
 
-let defer_past_locks t p =
-  let n = Array.length t.lock_windows in
-  let rec scan i =
-    if i >= n then p
-    else begin
-      let start, stop = t.lock_windows.(i) in
-      if p < start then p else if p < stop then min stop t.service_ns else scan (i + 1)
-    end
-  in
-  scan 0
+(* Top-level rather than a local closure over [t] and [p]: it runs on every
+   preemption, which must not allocate. *)
+let rec defer_from t p i =
+  if i >= Array.length t.lock_windows then p
+  else begin
+    let start, stop = t.lock_windows.(i) in
+    if p < start then p else if p < stop then min stop t.service_ns else defer_from t p (i + 1)
+  end
+
+let defer_past_locks t p = defer_from t p 0
 
 let sojourn_ns t =
   if not (is_complete t) then invalid_arg "Request.sojourn_ns: not complete";

@@ -40,6 +40,11 @@ type t = {
 val create :
   id:int -> arrival_ns:int -> profile:Repro_workload.Mix.profile -> t
 
+val none : t
+(** The absent request, compared with [==]: it fills empty slots and
+    fields of the allocation-free queues and server state where an option
+    would box every value. Never simulated, and never mutated. *)
+
 val hedge_dup : t -> id:int -> t
 (** A duplicate of [primary] for hedged dispatch: shares its arrival time
     and service profile, carries the fresh [id], and points back via

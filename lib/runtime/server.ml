@@ -1,6 +1,5 @@
 module Sim = Repro_engine.Sim
 module Rng = Repro_engine.Rng
-module Ring = Repro_engine.Ring
 module Costs = Repro_hw.Costs
 module Mechanism = Repro_hw.Mechanism
 module Mix = Repro_workload.Mix
@@ -10,45 +9,67 @@ module Arrival = Repro_workload.Arrival
 (* Events and dispatcher micro-operations                              *)
 (* ------------------------------------------------------------------ *)
 
-type disp_op =
-  | Op_ingress of Request.t
+(* Dispatcher micro-operation kinds. An op is a kind plus the slots of the
+   op ring ([ops] below) that kind reads:
+   - [Op_ingress]: the request.
+   - [Op_ingress_batch]: coalesced ingress. The dispatcher admits several
+     queued arrivals in one pass, amortizing the per-request cost
+     (Config.ingress_batch). The members live in
+     [dispatcher.batch_buf.(0 .. batch_n - 1)]; at most one batch op is
+     ever in flight.
+   - [Op_completion]: the worker.
+   - [Op_requeue]: the request and the worker it came from (-1 for the
+     dispatcher's saved context).
+   - [Op_preempt_signal]: the worker and, as its epoch, the worker's
+     liveness mark when the quantum expired.
+   - [Op_send] (SQ hand-off) and [Op_push] (JBSQ push): worker and request.
+   - [Op_cancel]: the request, a balancer-issued revocation of a hedge
+     duplicate. The leg is discarded wherever it currently sits (queued,
+     saved, or running via the preemption mechanism), charging
+     [cancel_ns] of dispatcher time. *)
+type op =
+  | Op_ingress
   | Op_ingress_batch
-      (* coalesced ingress: the dispatcher admits several queued arrivals in
-         one pass, amortizing the per-request cost (Config.ingress_batch).
-         The members live in [dispatcher.batch_buf.(0 .. batch_n - 1)] — at
-         most one batch op is ever in flight, so a single scratch array per
-         instance replaces a freshly allocated list per batch. *)
-  | Op_completion of int (* worker id *)
-  | Op_requeue of { req : Request.t; from_worker : int }
-  | Op_preempt_signal of { worker : int; epoch : int }
-  | Op_send of { worker : int; req : Request.t } (* SQ hand-off *)
-  | Op_push of { worker : int; req : Request.t } (* JBSQ push *)
-  | Op_cancel of Request.t
-      (* balancer-issued revocation of a hedge duplicate: discard the leg
-         wherever it currently sits (queued, saved, or running via the
-         preemption mechanism), charging [cancel_ns] of dispatcher time *)
+  | Op_completion
+  | Op_requeue
+  | Op_preempt_signal
+  | Op_send
+  | Op_push
+  | Op_cancel
 
 (* Per-instance events. The host simulation (the standalone driver below,
    or a {!Cluster}-style rack model) wraps these in its own event type via
    the [lift] injection, so several instances can interleave on one shared
-   clock. *)
+   clock. An event names only its kind and worker: each instance lifts
+   every (kind, worker) pair once at creation and schedules those values,
+   so arming an event allocates nothing.
+
+   Liveness lives in the event heap instead of the payload. Each worker,
+   and the dispatcher's stolen slice, keeps a mark; invalidating its armed
+   events sets the mark to [Sim.next_seq], and an event is live iff
+   [Sim.current_seq] is at or past the mark. Events are always armed under
+   the current mark and at most one of each kind is armed per mark, so
+   this is exactly an epoch counter carried in the payload and compared on
+   arrival. *)
 type event =
   | Ev_disp_op_done
-  | Ev_disp_slice_end of { depoch : int }
-  | Ev_worker_begin of { w : int; epoch : int }
-  | Ev_worker_complete of { w : int; epoch : int }
-  | Ev_quantum of { w : int; epoch : int }
-  | Ev_preempt_stop of { w : int; epoch : int }
-  | Ev_yield_done of { w : int; epoch : int }
+  | Ev_disp_slice_end
+  | Ev_worker_begin of int
+  | Ev_worker_complete of int
+  | Ev_quantum of int
+  | Ev_preempt_stop of int
+  | Ev_yield_done of int
 
 (* ------------------------------------------------------------------ *)
 (* Mutable state                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Absent requests are [Request.none], compared with [==]: an option field
+   would box every request stored in it. *)
 type worker = {
   wid : int;
-  mutable epoch : int; (* bumped to invalidate in-flight events *)
-  mutable cur : Request.t option;
+  mutable live_from : int; (* liveness mark: older events are stale *)
+  mutable cur : Request.t;
   mutable seg_start_ns : int; (* wall time the current segment began *)
   mutable seg_start_progress : int; (* progress when the segment began *)
   mutable completion_at : int; (* scheduled completion of the segment *)
@@ -60,35 +81,97 @@ type worker = {
   mutable busy_from : int; (* segment busy-accounting anchor *)
 }
 
-type slice = { sreq : Request.t; sstart : int; send : int; sstop_progress : int }
+(* Pending dispatcher ops as a struct-of-arrays ring: queuing an op writes
+   one cell per slot instead of allocating a variant, which matters because
+   every completion, requeue and preemption signal flows through here. Only
+   the request slot holds pointers, so it is the only cell whose write pays
+   the GC write barrier; popping leaves it in place (at most the ring's
+   capacity of finished requests stays reachable until overwritten). The
+   capacity is a power of two; [head] and [tail] are logical positions and
+   the physical slot is [pos land (capacity - 1)]. *)
+type ops = {
+  mutable kinds : op array;
+  mutable reqs : Request.t array;
+  mutable wids : int array;
+  mutable epochs : int array;
+  mutable head : int;
+  mutable tail : int;
+}
 
-(* The op ring replaces a [Queue.t]: pushes and pops move two cursors in a
-   flat array instead of allocating a cons cell per op, which matters because
-   every completion, requeue and preemption signal flows through here.
-   [cur_op] is a plain field (meaningful only while [busy]); the dispatcher
-   runs ops strictly serially, so an option box would only encode a state
-   [busy] already tracks. *)
+let ops_create capacity =
+  {
+    kinds = Array.make capacity Op_completion;
+    reqs = Array.make capacity Request.none;
+    wids = Array.make capacity 0;
+    epochs = Array.make capacity 0;
+    head = 0;
+    tail = 0;
+  }
+
+let ops_is_empty r = r.head = r.tail
+let ops_slot r = r.head land (Array.length r.kinds - 1)
+
+let ops_push r kind req wid epoch =
+  if r.tail - r.head = Array.length r.kinds then begin
+    let n = r.tail - r.head in
+    let bigger = ops_create (2 * n) in
+    for i = 0 to n - 1 do
+      let j = (r.head + i) land (n - 1) in
+      bigger.kinds.(i) <- r.kinds.(j);
+      bigger.reqs.(i) <- r.reqs.(j);
+      bigger.wids.(i) <- r.wids.(j);
+      bigger.epochs.(i) <- r.epochs.(j)
+    done;
+    r.kinds <- bigger.kinds;
+    r.reqs <- bigger.reqs;
+    r.wids <- bigger.wids;
+    r.epochs <- bigger.epochs;
+    r.head <- 0;
+    r.tail <- n
+  end;
+  let i = r.tail land (Array.length r.kinds - 1) in
+  r.kinds.(i) <- kind;
+  r.reqs.(i) <- req;
+  r.wids.(i) <- wid;
+  r.epochs.(i) <- epoch;
+  r.tail <- r.tail + 1
+
+(* The dispatcher runs ops strictly serially, so the running op is a set of
+   plain [cur_*] fields, meaningful only while [busy]. The stolen slice is
+   likewise inlined: [sreq] is [Request.none] when there is none. *)
 type dispatcher = {
-  ops : disp_op Ring.t;
+  ops : ops;
   mutable busy : bool;
-  mutable depoch : int;
   mutable op_started_ns : int;
-  mutable cur_op : disp_op;
-  mutable slice : slice option;
-  mutable saved : Request.t option; (* §3.3 dedicated context buffer *)
-  mutable batch_buf : Request.t array; (* Op_ingress_batch scratch, grown lazily *)
+  mutable cur_kind : op;
+  mutable cur_req : Request.t;
+  mutable cur_wid : int;
+  mutable cur_epoch : int;
+  mutable live_from : int; (* liveness mark of Ev_disp_slice_end *)
+  mutable sreq : Request.t;
+  mutable sstart : int;
+  mutable sstop_progress : int;
+  mutable saved : Request.t; (* §3.3 dedicated context buffer *)
+  batch_buf : Request.t array; (* Op_ingress_batch members *)
   mutable batch_n : int;
 }
 
 type 'e t = {
   sim : 'e Sim.t;
-  lift : event -> 'e;
-  lifted_op_done : 'e; (* [lift Ev_disp_op_done], cached: one per op otherwise *)
+  (* [lift] applied once to every event this instance can schedule *)
+  lifted_op_done : 'e;
+  lifted_slice_end : 'e;
+  lifted_begin : 'e array; (* indexed by worker id, like the rest *)
+  lifted_complete : 'e array;
+  lifted_quantum : 'e array;
+  lifted_stop : 'e array;
+  lifted_yield : 'e array;
   config : Config.t;
   mech_rng : Rng.t;
   central : Policy.t;
   workers : worker array;
   disp : dispatcher;
+  mutable resolved_progress : int; (* stop progress of the last [resolve_stop] hit *)
   metrics : Metrics.t;
   live : (int, Request.t) Hashtbl.t; (* in-flight requests, for censoring *)
   tracer : Tracing.t option;
@@ -100,7 +183,14 @@ type 'e t = {
       (* fired exactly once per revoked leg, when the instance actually
          discards it; the partial progress left in [done_ns] is the
          balancer's wasted-work meter *)
-  cancel_ns : int; (* dispatcher cost of executing an Op_cancel *)
+  (* dispatcher cost of each fixed-price op (ns), pre-scaled by [speed] *)
+  ingress_ns : int;
+  completion_op_ns : int;
+  requeue_ns : int;
+  signal_ns : int;
+  send_ns : int;
+  push_ns : int;
+  cancel_ns : int;
   mutable finished : int; (* completions, all owners *)
   (* size-estimate noise: sigma of the log-normal multiplier applied once
      at arrival when the policy is Srpt_noisy; 0.0 = exact demand and no
@@ -164,25 +254,30 @@ let time_of_progress ~seg_start_ns ~seg_start_progress ~mult p =
 (* Resolve where a preemption wished for at wall time [candidate] actually
    stops the request: never inside a lock window (safety-first, §3.1), and
    under the Whole_request lock model never before the request completes
-   (the Shinjuku prototype's whole-API-call approach). Returns [None] when
-   the request will complete first, or [Some (stop_time, stop_progress)]. *)
+   (the Shinjuku prototype's whole-API-call approach). Returns -1 when the
+   request will complete first; otherwise the stop time, with the progress
+   reached there left in [t.resolved_progress] for the caller to keep. *)
 let resolve_stop t (req : Request.t) ~seg_start_ns ~seg_start_progress ~mult ~completion_at
     ~candidate =
   match t.config.lock_model with
-  | Config.Whole_request -> None
+  | Config.Whole_request -> -1
   | Config.Fine_grained ->
     let p =
       progress_at ~seg_start_ns ~seg_start_progress ~mult ~service:req.Request.service_ns
         candidate
     in
     let p' = Request.defer_past_locks req p in
-    if p' >= req.Request.service_ns then None
+    if p' >= req.Request.service_ns then -1
     else begin
       let stop_time =
         if p' = p then max candidate (time_of_progress ~seg_start_ns ~seg_start_progress ~mult p)
         else time_of_progress ~seg_start_ns ~seg_start_progress ~mult p'
       in
-      if stop_time >= completion_at then None else Some (stop_time, p')
+      if stop_time >= completion_at then -1
+      else begin
+        t.resolved_progress <- p';
+        stop_time
+      end
     end
 
 let probe_spacing t (req : Request.t) =
@@ -221,67 +316,107 @@ let effective_quantum_ns t (req : Request.t) =
 (* ------------------------------------------------------------------ *)
 
 let op_cost_ns t = function
-  | Op_ingress _ -> ns t t.config.costs.disp_ingress_cycles
+  | Op_ingress -> t.ingress_ns
   | Op_ingress_batch ->
     ns t (Costs.ingress_batch_cost_cycles t.config.costs ~batch:t.disp.batch_n)
-  | Op_completion _ ->
-    ns t (t.config.costs.disp_completion_cycles + t.config.costs.flag_propagation_cycles)
-  | Op_requeue _ -> ns t t.config.costs.disp_requeue_cycles
-  | Op_preempt_signal _ ->
-    if Mechanism.is_precise t.config.mechanism then ns t t.config.costs.disp_ipi_send_cycles
-    else ns t t.config.costs.disp_flag_write_cycles
-  | Op_send _ -> ns t t.config.costs.disp_send_cycles
-  | Op_push _ -> ns t (t.config.costs.disp_send_cycles + t.config.costs.disp_jbsq_pick_cycles)
-  | Op_cancel _ -> t.cancel_ns
+  | Op_completion -> t.completion_op_ns
+  | Op_requeue -> t.requeue_ns
+  | Op_preempt_signal -> t.signal_ns
+  | Op_send -> t.send_ns
+  | Op_push -> t.push_ns
+  | Op_cancel -> t.cancel_ns
 
 let is_jbsq t = match t.config.queue_model with Config.Jbsq _ -> true | Config.Single_queue -> false
 let depth t = Config.jbsq_depth t.config
+
+(* Invalidate every event armed so far for worker [w]. *)
+let bump (w : worker) sim = w.live_from <- Sim.next_seq sim
 
 (* Cancellation leaves ghost entries behind: a revoked leg may still sit in
    the central policy, a local queue, or the saved-context buffer. Rather
    than teaching every queue to delete by id, the pop paths below skip and
    discard cancelled entries lazily — with hedging off no request is ever
-   cancelled and these reduce to the bare pops. *)
+   cancelled and these reduce to the bare pops. Each returns
+   [Request.none] when nothing live is left. *)
 let rec pop_live t ~worker =
-  match Policy.pop t.central ~worker with
-  | None -> None
-  | Some req ->
+  if Policy.is_empty t.central then Request.none
+  else begin
+    let req = Policy.pop_unsafe t.central ~worker in
     if req.Request.cancelled then begin
       discard_cancelled t req;
       pop_live t ~worker
     end
-    else Some req
+    else req
+  end
 
 let rec pop_not_started_live t =
-  match Policy.pop_not_started t.central with
-  | None -> None
-  | Some req ->
+  if not (Policy.has_not_started t.central) then Request.none
+  else begin
+    let req = Policy.pop_not_started_unsafe t.central in
     if req.Request.cancelled then begin
       discard_cancelled t req;
       pop_not_started_live t
     end
-    else Some req
+    else req
+  end
 
 let rec local_pop_live t (w : worker) =
-  match Local_queue.pop w.local with
-  | None -> None
-  | Some req ->
+  if Local_queue.is_empty w.local then Request.none
+  else begin
+    let req = Local_queue.pop_unsafe w.local in
     if req.Request.cancelled then begin
       discard_cancelled t req;
       (* The slot this duplicate held in the dispatcher's JBSQ view must be
          credited back, exactly as a completion would. *)
-      Ring.push t.disp.ops (Op_completion w.wid);
+      ops_push t.disp.ops Op_completion Request.none w.wid 0;
       local_pop_live t w
     end
-    else Some req
+    else req
+  end
 
-(* Pick the drain action the dispatcher would perform next, if any:
-   hand a queued request to a free worker (SQ) or push to the shortest
-   per-worker queue with a free slot (JBSQ). *)
-(* Plain index loops: this runs after every dispatcher op, so the
-   ref-cell-and-closure scan it replaced was itself a per-event allocation. *)
-let make_drain_op t =
-  if Policy.is_empty t.central then None
+(* An index loop: [Array.for_all] allocates its inner closure per call, and
+   this runs whenever the dispatcher goes idle. *)
+let all_workers_busy_view t =
+  let workers = t.workers and jbsq = is_jbsq t in
+  let i = ref 0 in
+  while
+    !i < Array.length workers
+    &&
+    let w = workers.(!i) in
+    if jbsq then w.outstanding_view >= 1 else not w.sq_waiting
+  do
+    incr i
+  done;
+  !i = Array.length workers
+
+(* Move consecutive pending ingress ops from the op ring into [buf],
+   starting at slot [n]; stops at the batch limit or the first non-ingress
+   op. Returns the filled length. *)
+let rec collect_batch t buf n limit =
+  let r = t.disp.ops in
+  if n >= limit || ops_is_empty r || r.kinds.(ops_slot r) <> Op_ingress then n
+  else begin
+    buf.(n) <- r.reqs.(ops_slot r);
+    r.head <- r.head + 1;
+    collect_batch t buf (n + 1) limit
+  end
+
+let start_op t kind req wid epoch =
+  let d = t.disp in
+  d.busy <- true;
+  d.cur_kind <- kind;
+  d.cur_req <- req;
+  d.cur_wid <- wid;
+  d.cur_epoch <- epoch;
+  d.op_started_ns <- Sim.now t.sim;
+  Sim.schedule_after t.sim ~delay:(op_cost_ns t kind) t.lifted_op_done
+
+(* Start the drain action the dispatcher would perform next, if any: hand
+   a queued request to a free worker (SQ) or push to the shortest
+   per-worker queue with a free slot (JBSQ). Returns whether an op was
+   started. Plain index loops: this runs after every dispatcher op. *)
+let start_drain_op t =
+  if Policy.is_empty t.central then false
   else if is_jbsq t then begin
     let workers = t.workers in
     let n = Array.length workers in
@@ -295,83 +430,61 @@ let make_drain_op t =
         best_view := view
       end
     done;
-    if !best < 0 then None
+    if !best < 0 then false
     else begin
-      match pop_live t ~worker:!best with
-      | None -> None
-      | Some req ->
-        workers.(!best).outstanding_view <- workers.(!best).outstanding_view + 1;
-        Some (Op_push { worker = !best; req })
+      let best = !best in
+      let req = pop_live t ~worker:best in
+      if req == Request.none then false
+      else begin
+        workers.(best).outstanding_view <- workers.(best).outstanding_view + 1;
+        start_op t Op_push req best 0;
+        true
+      end
     end
   end
   else begin
     let workers = t.workers in
     let n = Array.length workers in
     let waiting = ref (-1) in
-    (let i = ref 0 in
-     while !waiting < 0 && !i < n do
-       if workers.(!i).sq_waiting then waiting := !i;
-       incr i
-     done);
-    if !waiting < 0 then None
+    let i = ref 0 in
+    while !waiting < 0 && !i < n do
+      if workers.(!i).sq_waiting then waiting := !i;
+      incr i
+    done;
+    if !waiting < 0 then false
     else begin
       let waiting = !waiting in
-      match pop_live t ~worker:waiting with
-      | None -> None
-      | Some req ->
+      let req = pop_live t ~worker:waiting in
+      if req == Request.none then false
+      else begin
         workers.(waiting).sq_waiting <- false;
-        Some (Op_send { worker = waiting; req })
+        start_op t Op_send req waiting 0;
+        true
+      end
     end
-  end
-
-let all_workers_busy_view t =
-  if is_jbsq t then Array.for_all (fun w -> w.outstanding_view >= 1) t.workers
-  else Array.for_all (fun w -> not w.sq_waiting) t.workers
-
-(* Move consecutive pending ingress ops from the op ring into [buf],
-   starting at slot [n]; stops at the batch limit or the first non-ingress
-   op. Returns the filled length. *)
-let rec collect_batch t buf n limit =
-  let d = t.disp in
-  if n >= limit || Ring.is_empty d.ops then n
-  else begin
-    match Ring.peek_unsafe d.ops with
-    | Op_ingress r ->
-      ignore (Ring.pop_unsafe d.ops : disp_op);
-      buf.(n) <- r;
-      collect_batch t buf (n + 1) limit
-    | Op_ingress_batch | Op_completion _ | Op_requeue _ | Op_preempt_signal _ | Op_send _
-    | Op_push _ | Op_cancel _ ->
-      n
   end
 
 let rec disp_kick t =
   let d = t.disp in
   if not d.busy then begin
-    if Ring.is_empty d.ops then begin
-      match make_drain_op t with
-      | Some op -> start_op t op
-      | None -> if t.config.dispatcher_steals then try_steal t
+    let r = d.ops in
+    if ops_is_empty r then begin
+      if (not (start_drain_op t)) && t.config.dispatcher_steals then try_steal t
     end
     else begin
-      match Ring.pop_unsafe d.ops with
-      | Op_ingress first when t.config.ingress_batch > 1 ->
+      let i = ops_slot r in
+      let kind = r.kinds.(i) and req = r.reqs.(i) and wid = r.wids.(i)
+      and epoch = r.epochs.(i) in
+      r.head <- r.head + 1;
+      if kind = Op_ingress && t.config.ingress_batch > 1 then begin
         (* Coalesce consecutive pending arrivals into one admission op. *)
-        if Array.length d.batch_buf < t.config.ingress_batch then
-          d.batch_buf <- Array.make t.config.ingress_batch first;
-        d.batch_buf.(0) <- first;
+        d.batch_buf.(0) <- req;
         d.batch_n <- collect_batch t d.batch_buf 1 t.config.ingress_batch;
-        start_op t Op_ingress_batch
-      | op -> start_op t op
+        start_op t Op_ingress_batch Request.none (-1) 0
+      end
+      else start_op t kind req wid epoch
     end
   end
-
-and start_op t op =
-  let d = t.disp in
-  d.busy <- true;
-  d.cur_op <- op;
-  d.op_started_ns <- Sim.now t.sim;
-  Sim.schedule_after t.sim ~delay:(op_cost_ns t op) t.lifted_op_done
 
 (* §3.3: when idle, the dispatcher resumes its saved context, or steals the
    first non-started request once every worker is busy. It runs the request
@@ -379,67 +492,73 @@ and start_op t op =
    the quantum. *)
 and try_steal t =
   let d = t.disp in
-  match d.saved with
-  | Some req when not (all_workers_busy_view t) ->
+  let saved = d.saved in
+  if saved != Request.none && not (all_workers_busy_view t) then begin
     (* Stealing (and holding a stolen context) is an all-workers-busy
        fallback; with a worker free, hand the saved request back so the
        worker finishes it instead of it waiting for dispatcher idle time. *)
-    d.saved <- None;
-    Ring.push d.ops (Op_requeue { req; from_worker = -1 });
+    d.saved <- Request.none;
+    ops_push d.ops Op_requeue saved (-1) 0;
     disp_kick t
-  | saved -> (
-    let candidate =
-      match saved with
-      | Some req ->
-        d.saved <- None;
-        Some req
-      | None ->
-        if all_workers_busy_view t && Policy.has_not_started t.central then
-          pop_not_started_live t
-        else None
+  end
+  else begin
+    let req =
+      if saved != Request.none then begin
+        d.saved <- Request.none;
+        saved
+      end
+      else if all_workers_busy_view t then pop_not_started_live t
+      else Request.none
     in
-    match candidate with
-    | None -> ()
-    | Some req when req.Request.cancelled ->
+    if req == Request.none then ()
+    else if req.Request.cancelled then begin
       (* Only the saved-context path can surface a cancelled leg here (the
          queue pop filters them); drop it and look again. *)
       discard_cancelled t req;
       try_steal t
-    | Some req ->
-    let now = Sim.now t.sim in
-    if t.tracing then begin
-      if not req.Request.dispatcher_owned then trace t ~request:req.Request.id Tracing.Stolen;
-      if req.Request.started then
-        trace t ~request:req.Request.id
-          (Tracing.Resumed { worker = -1; progress_ns = req.Request.done_ns })
-      else trace t ~request:req.Request.id (Tracing.Started { worker = -1 })
-    end;
-    req.Request.started <- true;
-    req.Request.dispatcher_owned <- true;
-    let mult = t.disp_mult in
-    let remaining_wall =
-      int_of_float (ceil (float_of_int (Request.remaining_ns req) *. mult))
-    in
-    let lateness =
-      Mechanism.yield_lateness_ns Mechanism.Rdtsc_probe ~costs:t.config.costs ~rng:t.mech_rng
-        ~probe_spacing_ns:(probe_spacing t req)
-    in
-    let seg_start_progress = req.Request.done_ns in
-    let stop =
-      resolve_stop t req ~seg_start_ns:now ~seg_start_progress ~mult
-        ~completion_at:(now + remaining_wall)
-        ~candidate:(now + effective_quantum_ns t req + lateness)
-    in
-    let send, sstop_progress =
-      match stop with
-      | None -> (now + remaining_wall, req.Request.service_ns)
-      | Some (stop_time, p) -> (stop_time, p)
-    in
-    d.busy <- true;
-    d.depoch <- d.depoch + 1;
-    d.slice <- Some { sreq = req; sstart = now; send; sstop_progress };
-    Metrics.add_steal_slice t.metrics;
-    Sim.schedule_at t.sim ~time:send (t.lift (Ev_disp_slice_end { depoch = d.depoch })))
+    end
+    else begin
+      let now = Sim.now t.sim in
+      if t.tracing then begin
+        if not req.Request.dispatcher_owned then trace t ~request:req.Request.id Tracing.Stolen;
+        if req.Request.started then
+          trace t ~request:req.Request.id
+            (Tracing.Resumed { worker = -1; progress_ns = req.Request.done_ns })
+        else trace t ~request:req.Request.id (Tracing.Started { worker = -1 })
+      end;
+      req.Request.started <- true;
+      req.Request.dispatcher_owned <- true;
+      let remaining_wall =
+        int_of_float (ceil (float_of_int (Request.remaining_ns req) *. t.disp_mult))
+      in
+      let lateness =
+        Mechanism.yield_lateness_ns Mechanism.Rdtsc_probe ~costs:t.config.costs ~rng:t.mech_rng
+          ~probe_spacing_ns:(probe_spacing t req)
+      in
+      let stop =
+        resolve_stop t req ~seg_start_ns:now ~seg_start_progress:req.Request.done_ns
+          ~mult:t.disp_mult
+          ~completion_at:(now + remaining_wall)
+          ~candidate:(now + effective_quantum_ns t req + lateness)
+      in
+      let send =
+        if stop < 0 then begin
+          d.sstop_progress <- req.Request.service_ns;
+          now + remaining_wall
+        end
+        else begin
+          d.sstop_progress <- t.resolved_progress;
+          stop
+        end
+      in
+      d.busy <- true;
+      d.live_from <- Sim.next_seq t.sim;
+      d.sreq <- req;
+      d.sstart <- now;
+      Metrics.add_steal_slice t.metrics;
+      Sim.schedule_at t.sim ~time:send t.lifted_slice_end
+    end
+  end
 
 let complete_request t (req : Request.t) ~worker =
   if req.Request.cancelled then begin
@@ -465,31 +584,29 @@ let complete_request t (req : Request.t) ~worker =
   (match t.on_complete with None -> () | Some f -> f req)
   end
 
-let on_slice_end t ~depoch =
+let on_slice_end t =
   let d = t.disp in
-  if depoch = d.depoch then begin
-    match d.slice with
-    | None -> ()
-    | Some { sreq; sstart; send; sstop_progress } ->
-      let now = Sim.now t.sim in
-      ignore send;
-      Metrics.add_dispatcher_app t.metrics (now - sstart);
-      if sstop_progress >= sreq.Request.service_ns then complete_request t sreq ~worker:(-1)
-      else if sreq.Request.cancelled then begin
-        sreq.Request.done_ns <- sstop_progress;
-        discard_cancelled t sreq
-      end
-      else begin
-        if t.tracing then
-          trace t ~request:sreq.Request.id
-            (Tracing.Preempted { worker = -1; progress_ns = sstop_progress });
-        sreq.Request.done_ns <- sstop_progress;
-        sreq.Request.preemptions <- sreq.Request.preemptions + 1;
-        d.saved <- Some sreq
-      end;
-      d.slice <- None;
-      d.busy <- false;
-      disp_kick t
+  let sreq = d.sreq in
+  if sreq != Request.none then begin
+    let now = Sim.now t.sim in
+    let sstop_progress = d.sstop_progress in
+    Metrics.add_dispatcher_app t.metrics (now - d.sstart);
+    if sstop_progress >= sreq.Request.service_ns then complete_request t sreq ~worker:(-1)
+    else if sreq.Request.cancelled then begin
+      sreq.Request.done_ns <- sstop_progress;
+      discard_cancelled t sreq
+    end
+    else begin
+      if t.tracing then
+        trace t ~request:sreq.Request.id
+          (Tracing.Preempted { worker = -1; progress_ns = sstop_progress });
+      sreq.Request.done_ns <- sstop_progress;
+      sreq.Request.preemptions <- sreq.Request.preemptions + 1;
+      d.saved <- sreq
+    end;
+    d.sreq <- Request.none;
+    d.busy <- false;
+    disp_kick t
   end
 
 (* ------------------------------------------------------------------ *)
@@ -500,14 +617,13 @@ let on_slice_end t ~depoch =
    (coherence miss on the request line, context switch, local pop...). *)
 let deliver t (w : worker) (req : Request.t) ~delay =
   if t.tracing then trace t ~request:req.Request.id (Tracing.Delivered { worker = w.wid });
-  w.cur <- Some req;
-  w.epoch <- w.epoch + 1;
-  Sim.schedule_after t.sim ~delay (t.lift (Ev_worker_begin { w = w.wid; epoch = w.epoch }))
+  w.cur <- req;
+  bump w t.sim;
+  Sim.schedule_after t.sim ~delay t.lifted_begin.(w.wid)
 
 let begin_exec t (w : worker) =
-  match w.cur with
-  | None -> ()
-  | Some req ->
+  let req = w.cur in
+  if req != Request.none then begin
     let now = Sim.now t.sim in
     if t.tracing then begin
       if req.Request.started then
@@ -522,164 +638,154 @@ let begin_exec t (w : worker) =
     w.busy_from <- now;
     let remaining = Request.remaining_ns req in
     w.completion_at <- now + int_of_float (ceil (float_of_int remaining *. t.worker_mult));
-    Sim.schedule_at t.sim ~time:w.completion_at
-      (t.lift (Ev_worker_complete { w = w.wid; epoch = w.epoch }));
+    Sim.schedule_at t.sim ~time:w.completion_at t.lifted_complete.(w.wid);
     if Mechanism.preemptive t.config.mechanism then
-      Sim.schedule_after t.sim
-        ~delay:(effective_quantum_ns t req)
-        (t.lift (Ev_quantum { w = w.wid; epoch = w.epoch }));
+      Sim.schedule_after t.sim ~delay:(effective_quantum_ns t req) t.lifted_quantum.(w.wid);
     if w.gap_open_ns >= 0 then begin
       (* cnext measurement: idle time excluding the context switch itself *)
       Metrics.record_idle_gap t.metrics (now - w.gap_open_ns - t.cswitch_ns);
       w.gap_open_ns <- -1
     end
+  end
 
 (* After finishing or yielding, fetch the next request: pop the core-local
    queue (JBSQ) or wait for the dispatcher (SQ). [switch_paid] tells whether
    the yield path already charged the context switch. *)
 let fetch_next t (w : worker) ~switch_paid ~open_gap =
-  match local_pop_live t w with
-  | Some req ->
+  let req = local_pop_live t w in
+  if req != Request.none then begin
     (* Work was waiting core-locally: the cnext gap is just the local pop. *)
     if open_gap then w.gap_open_ns <- Sim.now t.sim - if switch_paid then t.cswitch_ns else 0;
     let delay = t.local_pop_ns + if switch_paid then 0 else t.cswitch_ns in
     deliver t w req ~delay
-  | None ->
-    w.cur <- None;
-    w.epoch <- w.epoch + 1;
+  end
+  else begin
+    w.cur <- Request.none;
+    bump w t.sim;
     (* The cnext gap only opens when work was genuinely waiting for this
        worker: in SQ mode any queued request is (the head of) its work; in
        JBSQ mode requests in flight to other workers' queues are not. *)
     if open_gap && (not (is_jbsq t)) && not (Policy.is_empty t.central) then
       w.gap_open_ns <- Sim.now t.sim
     else w.gap_open_ns <- -1
-
-let on_worker_complete t (w : worker) ~epoch =
-  if epoch = w.epoch then begin
-    match w.cur with
-    | None -> ()
-    | Some req ->
-      let now = Sim.now t.sim in
-      Metrics.add_worker_busy t.metrics (now - w.busy_from);
-      complete_request t req ~worker:w.wid;
-      Ring.push t.disp.ops (Op_completion w.wid);
-      fetch_next t w ~switch_paid:false ~open_gap:true;
-      disp_kick t
   end
 
-let on_quantum t (w : worker) ~epoch =
-  if epoch = w.epoch then begin
-    match w.cur with
-    | None -> ()
-    | Some req ->
-      let now = Sim.now t.sim in
-      if w.completion_at > now then begin
-        match t.config.mechanism with
-        | Mechanism.No_preempt -> ()
-        | Mechanism.Rdtsc_probe ->
-          (* Self-preemption: the worker notices the elapsed quantum at its
-             next rdtsc probe; no dispatcher involvement. *)
-          let lateness =
-            Mechanism.yield_lateness_ns Mechanism.Rdtsc_probe ~costs:t.config.costs
-              ~rng:t.mech_rng ~probe_spacing_ns:(probe_spacing t req)
-          in
-          let stop =
-            resolve_stop t req ~seg_start_ns:w.seg_start_ns
-              ~seg_start_progress:w.seg_start_progress ~mult:t.worker_mult
-              ~completion_at:w.completion_at ~candidate:(now + lateness)
-          in
-          (match stop with
-          | None -> ()
-          | Some (stop_time, p) ->
-            w.epoch <- w.epoch + 1;
-            w.stop_progress <- p;
-            Sim.schedule_at t.sim ~time:stop_time
-              (t.lift (Ev_preempt_stop { w = w.wid; epoch = w.epoch })))
-        | Mechanism.Ipi | Mechanism.Linux_ipi | Mechanism.Uipi | Mechanism.Cache_line
-        | Mechanism.Model_lateness _ ->
-          (* The dispatcher must notice the elapsed quantum and signal; its
-             busyness delays the signal (§3.3). *)
-          Ring.push t.disp.ops (Op_preempt_signal { worker = w.wid; epoch });
-          disp_kick t
-      end
+let on_worker_complete t (w : worker) =
+  let req = w.cur in
+  if req != Request.none then begin
+    let now = Sim.now t.sim in
+    Metrics.add_worker_busy t.metrics (now - w.busy_from);
+    complete_request t req ~worker:w.wid;
+    ops_push t.disp.ops Op_completion Request.none w.wid 0;
+    fetch_next t w ~switch_paid:false ~open_gap:true;
+    disp_kick t
+  end
+
+(* The worker stops at [stop_time] (a [resolve_stop] result, -1 = never)
+   with the progress [resolve_stop] resolved. Re-arming invalidates the
+   pending completion and any earlier stop. *)
+let arm_stop t (w : worker) stop_time =
+  if stop_time >= 0 then begin
+    bump w t.sim;
+    w.stop_progress <- t.resolved_progress;
+    Sim.schedule_at t.sim ~time:stop_time t.lifted_stop.(w.wid)
+  end
+
+let on_quantum t (w : worker) =
+  let req = w.cur in
+  if req != Request.none then begin
+    let now = Sim.now t.sim in
+    if w.completion_at > now then begin
+      match t.config.mechanism with
+      | Mechanism.No_preempt -> ()
+      | Mechanism.Rdtsc_probe ->
+        (* Self-preemption: the worker notices the elapsed quantum at its
+           next rdtsc probe; no dispatcher involvement. *)
+        let lateness =
+          Mechanism.yield_lateness_ns Mechanism.Rdtsc_probe ~costs:t.config.costs
+            ~rng:t.mech_rng ~probe_spacing_ns:(probe_spacing t req)
+        in
+        arm_stop t w
+          (resolve_stop t req ~seg_start_ns:w.seg_start_ns
+             ~seg_start_progress:w.seg_start_progress ~mult:t.worker_mult
+             ~completion_at:w.completion_at ~candidate:(now + lateness))
+      | Mechanism.Ipi | Mechanism.Linux_ipi | Mechanism.Uipi | Mechanism.Cache_line
+      | Mechanism.Model_lateness _ ->
+        (* The dispatcher must notice the elapsed quantum and signal; its
+           busyness delays the signal (§3.3). *)
+        ops_push t.disp.ops Op_preempt_signal Request.none w.wid w.live_from;
+        disp_kick t
+    end
   end
 
 (* Dispatcher has written the preemption flag / sent the interrupt at the
-   current instant; decide when the worker actually stops. *)
-let handle_preempt_signal t ~worker ~epoch =
+   current instant; decide when the worker actually stops. [mark] is the
+   worker's liveness mark when the signal was raised: a signal raised
+   under an older mark targets a segment that has already ended. *)
+let handle_preempt_signal t ~worker ~mark =
   let w = t.workers.(worker) in
-  if epoch = w.epoch then begin
-    match w.cur with
-    | None -> ()
-    | Some req ->
-      let now = Sim.now t.sim in
-      let lateness =
-        Mechanism.yield_lateness_ns t.config.mechanism ~costs:t.config.costs ~rng:t.mech_rng
-          ~probe_spacing_ns:(probe_spacing t req)
-      in
-      let stop =
-        resolve_stop t req ~seg_start_ns:w.seg_start_ns
-          ~seg_start_progress:w.seg_start_progress ~mult:t.worker_mult
-          ~completion_at:w.completion_at ~candidate:(now + lateness)
-      in
-      match stop with
-      | None -> ()
-      | Some (stop_time, p) ->
-        w.epoch <- w.epoch + 1;
-        w.stop_progress <- p;
-        Sim.schedule_at t.sim ~time:stop_time
-          (t.lift (Ev_preempt_stop { w = w.wid; epoch = w.epoch }))
+  let req = w.cur in
+  if mark = w.live_from && req != Request.none then begin
+    let now = Sim.now t.sim in
+    let lateness =
+      Mechanism.yield_lateness_ns t.config.mechanism ~costs:t.config.costs ~rng:t.mech_rng
+        ~probe_spacing_ns:(probe_spacing t req)
+    in
+    arm_stop t w
+      (resolve_stop t req ~seg_start_ns:w.seg_start_ns ~seg_start_progress:w.seg_start_progress
+         ~mult:t.worker_mult ~completion_at:w.completion_at ~candidate:(now + lateness))
   end
 
-let on_preempt_stop t (w : worker) ~epoch =
-  if epoch = w.epoch then begin
-    match w.cur with
-    | None -> ()
-    | Some req ->
-      let now = Sim.now t.sim in
-      if t.tracing then
-        trace t ~request:req.Request.id
-          (Tracing.Preempted { worker = w.wid; progress_ns = w.stop_progress });
-      req.Request.done_ns <- w.stop_progress;
-      req.Request.preemptions <- req.Request.preemptions + 1;
-      Metrics.add_preemption t.metrics;
-      Metrics.add_worker_busy t.metrics (now - w.busy_from);
-      w.busy_from <- now;
-      (* The segment is over; mark it so (Op_cancel uses [completion_at > now]
-         as "actually executing" — re-signalling during the yield hand-off
-         would invalidate the pending Ev_yield_done and wedge the worker). *)
-      w.completion_at <- -1;
-      (* Receive the notification, save the context, switch out. *)
-      Sim.schedule_after t.sim ~delay:(t.notif_ns + t.cswitch_ns)
-        (t.lift (Ev_yield_done { w = w.wid; epoch }))
+let on_preempt_stop t (w : worker) =
+  let req = w.cur in
+  if req != Request.none then begin
+    let now = Sim.now t.sim in
+    if t.tracing then
+      trace t ~request:req.Request.id
+        (Tracing.Preempted { worker = w.wid; progress_ns = w.stop_progress });
+    req.Request.done_ns <- w.stop_progress;
+    req.Request.preemptions <- req.Request.preemptions + 1;
+    Metrics.add_preemption t.metrics;
+    Metrics.add_worker_busy t.metrics (now - w.busy_from);
+    w.busy_from <- now;
+    (* The segment is over; mark it so (Op_cancel uses [completion_at > now]
+       as "actually executing" — re-signalling during the yield hand-off
+       would invalidate the pending Ev_yield_done and wedge the worker). *)
+    w.completion_at <- -1;
+    (* Receive the notification, save the context, switch out. *)
+    Sim.schedule_after t.sim ~delay:(t.notif_ns + t.cswitch_ns) t.lifted_yield.(w.wid)
   end
 
-let on_yield_done t (w : worker) ~epoch =
-  if epoch = w.epoch then begin
-    match w.cur with
-    | None -> ()
-    | Some req ->
-      Metrics.add_worker_busy t.metrics (Sim.now t.sim - w.busy_from);
-      Ring.push t.disp.ops (Op_requeue { req; from_worker = w.wid });
-      fetch_next t w ~switch_paid:true ~open_gap:false;
-      disp_kick t
+let on_yield_done t (w : worker) =
+  let req = w.cur in
+  if req != Request.none then begin
+    Metrics.add_worker_busy t.metrics (Sim.now t.sim - w.busy_from);
+    ops_push t.disp.ops Op_requeue req w.wid 0;
+    fetch_next t w ~switch_paid:true ~open_gap:false;
+    disp_kick t
   end
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher op completion                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A JBSQ slot or the SQ hand-off of worker [wid] is free again. *)
+let credit_worker t wid =
+  let w = t.workers.(wid) in
+  if is_jbsq t then w.outstanding_view <- max 0 (w.outstanding_view - 1)
+  else w.sq_waiting <- true
+
 let on_disp_op_done t =
   let d = t.disp in
   let now = Sim.now t.sim in
   let op_ns = now - d.op_started_ns in
   Metrics.add_dispatcher_busy t.metrics op_ns;
-  (* [cur_op] is left holding the finished op; it is only ever read while
-     [busy], which we clear here. *)
-  let op = d.cur_op in
+  (* The [cur_*] fields keep the finished op; they are only read while
+     [busy], which is cleared here. *)
+  let req = d.cur_req and worker = d.cur_wid in
   d.busy <- false;
-  (match op with
-  | Op_ingress req ->
+  (match d.cur_kind with
+  | Op_ingress ->
     if req.Request.cancelled then discard_cancelled t req
     else begin
       Policy.push_new t.central req;
@@ -693,6 +799,7 @@ let on_disp_op_done t =
     let share = op_ns / max 1 n in
     for i = 0 to n - 1 do
       let r = d.batch_buf.(i) in
+      d.batch_buf.(i) <- Request.none;
       if r.Request.cancelled then discard_cancelled t r
       else begin
         Policy.push_new t.central r;
@@ -702,11 +809,8 @@ let on_disp_op_done t =
       end
     done;
     d.batch_n <- 0
-  | Op_completion wid ->
-    let w = t.workers.(wid) in
-    if is_jbsq t then w.outstanding_view <- max 0 (w.outstanding_view - 1)
-    else w.sq_waiting <- true
-  | Op_requeue { req; from_worker } ->
+  | Op_completion -> credit_worker t worker
+  | Op_requeue ->
     if req.Request.cancelled then discard_cancelled t req
     else begin
       Policy.push_preempted t.central req;
@@ -714,13 +818,9 @@ let on_disp_op_done t =
         trace t ~request:req.Request.id
           (Tracing.Requeued { queue_depth = Policy.length t.central })
     end;
-    if from_worker >= 0 then begin
-      let w = t.workers.(from_worker) in
-      if is_jbsq t then w.outstanding_view <- max 0 (w.outstanding_view - 1)
-      else w.sq_waiting <- true
-    end
-  | Op_preempt_signal { worker; epoch } -> handle_preempt_signal t ~worker ~epoch
-  | Op_send { worker; req } ->
+    if worker >= 0 then credit_worker t worker
+  | Op_preempt_signal -> handle_preempt_signal t ~worker ~mark:d.cur_epoch
+  | Op_send ->
     let w = t.workers.(worker) in
     if req.Request.cancelled then begin
       (* Revoked while the hand-off op ran: the worker stays free. *)
@@ -734,14 +834,14 @@ let on_disp_op_done t =
              { worker; central_depth = Policy.length t.central; local_depth = 0; op_ns });
       deliver t w req ~delay:(t.receive_ns + t.cswitch_ns)
     end
-  | Op_push { worker; req } ->
+  | Op_push ->
     let w = t.workers.(worker) in
     if req.Request.cancelled then begin
       w.outstanding_view <- max 0 (w.outstanding_view - 1);
       discard_cancelled t req
     end
     else begin
-      let direct = w.cur = None in
+      let direct = w.cur == Request.none in
       if t.tracing then begin
         let local_depth = if direct then 0 else Local_queue.length w.local + 1 in
         trace t ~request:req.Request.id
@@ -751,14 +851,16 @@ let on_disp_op_done t =
       if direct then deliver t w req ~delay:(t.receive_ns + t.cswitch_ns)
       else Local_queue.push w.local req
     end
-  | Op_cancel req ->
+  | Op_cancel ->
     if Hashtbl.mem t.live req.Request.id then begin
-      let running = ref (-1) in
-      Array.iter
-        (fun w -> match w.cur with Some r when r == req -> running := w.wid | _ -> ())
-        t.workers;
+      let workers = t.workers in
+      let running = ref (-1) and i = ref 0 in
+      while !running < 0 && !i < Array.length workers do
+        if workers.(!i).cur == req then running := !i;
+        incr i
+      done;
       if !running >= 0 then begin
-        let w = t.workers.(!running) in
+        let w = workers.(!running) in
         (* Revoke an executing leg through the normal preemption path —
            this is exactly why cancellation is cheap under Concord-style
            probes. Only when a segment is genuinely executing
@@ -768,17 +870,15 @@ let on_disp_op_done t =
            revoke a running request at all: it runs out and is discarded
            at completion. *)
         if Mechanism.preemptive t.config.mechanism && w.completion_at > Sim.now t.sim then
-          handle_preempt_signal t ~worker:!running ~epoch:w.epoch
+          handle_preempt_signal t ~worker:!running ~mark:w.live_from
       end
-      else begin
-        match d.slice with
-        | Some s when s.sreq == req -> () (* the slice end will discard it *)
-        | _ ->
-          (match d.saved with Some r when r == req -> d.saved <- None | _ -> ());
-          (* Still queued somewhere (or in flight between ops): discard
-             now; any ghost entry left in a queue is skipped by the
-             cancellation-aware pops. *)
-          discard_cancelled t req
+      else if d.sreq != req then begin
+        (* (A leg running as the stolen slice is discarded at the slice end.) *)
+        if d.saved == req then d.saved <- Request.none;
+        (* Still queued somewhere (or in flight between ops): discard
+           now; any ghost entry left in a queue is skipped by the
+           cancellation-aware pops. *)
+        discard_cancelled t req
       end
     end);
   disp_kick t
@@ -818,12 +918,17 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
      untouched (bit-identity with the pre-estimate code, and sigma = 0 is
      exactly Srpt). *)
   let est_rng = if estimate_sigma > 0.0 then Rng.split rng else rng in
-  (* Never dispatched: pads vacated ring slots and the idle [cur_op]. *)
-  let dummy_op = Op_completion (-1) in
+  let n_workers = config.Config.n_workers in
+  let lifted ev = Array.init n_workers (fun w -> lift (ev w)) in
   {
     sim;
-    lift;
     lifted_op_done = lift Ev_disp_op_done;
+    lifted_slice_end = lift Ev_disp_slice_end;
+    lifted_begin = lifted (fun w -> Ev_worker_begin w);
+    lifted_complete = lifted (fun w -> Ev_worker_complete w);
+    lifted_quantum = lifted (fun w -> Ev_quantum w);
+    lifted_stop = lifted (fun w -> Ev_preempt_stop w);
+    lifted_yield = lifted (fun w -> Ev_yield_done w);
     config;
     mech_rng = rng;
     estimate_sigma;
@@ -836,11 +941,11 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
       | None -> [||]);
     central = Policy.create config.Config.policy;
     workers =
-      Array.init config.Config.n_workers (fun wid ->
+      Array.init n_workers (fun wid ->
           {
             wid;
-            epoch = 0;
-            cur = None;
+            live_from = 0;
+            cur = Request.none;
             seg_start_ns = 0;
             seg_start_progress = 0;
             completion_at = 0;
@@ -853,22 +958,39 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
           });
     disp =
       {
-        ops = Ring.create ~capacity:64 ~dummy:dummy_op ();
+        ops = ops_create 64;
         busy = false;
-        depoch = 0;
         op_started_ns = 0;
-        cur_op = dummy_op;
-        slice = None;
-        saved = None;
-        batch_buf = [||];
+        cur_kind = Op_completion;
+        cur_req = Request.none;
+        cur_wid = -1;
+        cur_epoch = 0;
+        live_from = 0;
+        sreq = Request.none;
+        sstart = 0;
+        sstop_progress = 0;
+        saved = Request.none;
+        batch_buf =
+          Array.make (if config.Config.ingress_batch > 1 then config.Config.ingress_batch else 0)
+            Request.none;
         batch_n = 0;
       };
+    resolved_progress = 0;
     metrics = Metrics.create ~warmup_before ~n_classes;
     live = Hashtbl.create 1024;
     tracer;
     tracing = tracer <> None;
     on_complete;
     on_cancelled;
+    ingress_ns = ns costs.Costs.disp_ingress_cycles;
+    completion_op_ns = ns (costs.Costs.disp_completion_cycles + costs.Costs.flag_propagation_cycles);
+    requeue_ns = ns costs.Costs.disp_requeue_cycles;
+    signal_ns =
+      ns
+        (if Mechanism.is_precise config.Config.mechanism then costs.Costs.disp_ipi_send_cycles
+         else costs.Costs.disp_flag_write_cycles);
+    send_ns = ns costs.Costs.disp_send_cycles;
+    push_ns = ns (costs.Costs.disp_send_cycles + costs.Costs.disp_jbsq_pick_cycles);
     (* Default: killing a queued duplicate costs what a requeue costs — one
        dispatcher queue operation. *)
     cancel_ns =
@@ -913,19 +1035,29 @@ let inject t (req : Request.t) =
   Hashtbl.replace t.live req.Request.id req;
   if t.tracing then
     trace t ~request:req.Request.id (Tracing.Arrived { service_ns = req.Request.service_ns });
-  Ring.push t.disp.ops (Op_ingress req);
+  ops_push t.disp.ops Op_ingress req (-1) 0;
   disp_kick t
 
-let handle t = function
+let handle t ev =
+  let seq = Sim.current_seq t.sim in
+  match ev with
   | Ev_disp_op_done -> on_disp_op_done t
-  | Ev_disp_slice_end { depoch } -> on_slice_end t ~depoch
-  | Ev_worker_begin { w; epoch } ->
+  | Ev_disp_slice_end -> if seq >= t.disp.live_from then on_slice_end t
+  | Ev_worker_begin w ->
     let wk = t.workers.(w) in
-    if epoch = wk.epoch then begin_exec t wk
-  | Ev_worker_complete { w; epoch } -> on_worker_complete t t.workers.(w) ~epoch
-  | Ev_quantum { w; epoch } -> on_quantum t t.workers.(w) ~epoch
-  | Ev_preempt_stop { w; epoch } -> on_preempt_stop t t.workers.(w) ~epoch
-  | Ev_yield_done { w; epoch } -> on_yield_done t t.workers.(w) ~epoch
+    if seq >= wk.live_from then begin_exec t wk
+  | Ev_worker_complete w ->
+    let wk = t.workers.(w) in
+    if seq >= wk.live_from then on_worker_complete t wk
+  | Ev_quantum w ->
+    let wk = t.workers.(w) in
+    if seq >= wk.live_from then on_quantum t wk
+  | Ev_preempt_stop w ->
+    let wk = t.workers.(w) in
+    if seq >= wk.live_from then on_preempt_stop t wk
+  | Ev_yield_done w ->
+    let wk = t.workers.(w) in
+    if seq >= wk.live_from then on_yield_done t wk
 
 let censor_all ?also t ~now_ns =
   (Hashtbl.iter
@@ -947,7 +1079,7 @@ let censor_all ?also t ~now_ns =
    no longer live here (already completed, discarded, or surrendered). *)
 let cancel t (req : Request.t) =
   if Hashtbl.mem t.live req.Request.id then begin
-    Ring.push t.disp.ops (Op_cancel req);
+    ops_push t.disp.ops Op_cancel req (-1) 0;
     disp_kick t
   end
 
@@ -956,14 +1088,12 @@ let cancel t (req : Request.t) =
    surrendered — migrating partial state across servers is not free in any
    real rack, and the thief re-injects the request as a new arrival. *)
 let surrender t =
-  if Policy.has_not_started t.central then begin
-    match pop_not_started_live t with
-    | None -> None
-    | Some req ->
-      Hashtbl.remove t.live req.Request.id;
-      Some req
+  let req = pop_not_started_live t in
+  if req == Request.none then None
+  else begin
+    Hashtbl.remove t.live req.Request.id;
+    Some req
   end
-  else None
 
 module Instance = struct
   type nonrec 'e t = 'e t

@@ -18,7 +18,8 @@ type event
     a worker quantum elapsing, ...). Opaque: a host simulation receives
     values of this type only through the [lift] injection given to
     {!Instance.create} and must pass them back to {!Instance.handle}
-    untouched. *)
+    untouched. An instance lifts each of its events once, at creation, so
+    scheduling one allocates nothing. *)
 
 (** An embeddable server instance: the same dispatcher/worker model as
     {!run}, but driven by an external {!Repro_engine.Sim} clock so several
@@ -61,7 +62,10 @@ module Instance : sig
 
   val handle : 'e t -> event -> unit
   (** Advance the instance by one of its own events (the host unwraps its
-      event type and forwards). *)
+      event type and forwards). Call it from the [Sim.run] handler of the
+      instance's own [sim]: whether the event is still live is decided
+      from {!Repro_engine.Sim.current_seq}. Allocates nothing per event
+      in the steady state. *)
 
   val cancel : 'e t -> Request.t -> unit
   (** Revoke a request previously injected here (the losing hedge leg).

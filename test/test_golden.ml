@@ -3,7 +3,8 @@
    engine/runtime "optimisation" that perturbs simulation behaviour —
    event order, RNG draws, float arithmetic — fails loudly rather than
    silently shifting results; (2) allocation regression tests holding the
-   Sim.run/Heap event loop at zero words per event. *)
+   Sim.run/Heap event loop and the whole standalone server event path at
+   zero words per event. *)
 
 module Sim = Repro_engine.Sim
 module Heap = Repro_engine.Heap
@@ -547,6 +548,49 @@ let test_discrete_sample_alloc_size_independent () =
        n=4096"
       small big
 
+(* The whole standalone server event path allocates nothing per event:
+   dispatcher ops, worker events, the central and local queues and the
+   preemption arithmetic. Per-request allocation (the request, its sample,
+   its [live] entry and metrics samples) is allowed. A 1 us quantum
+   preempts ycsb-a's long requests about five times as often as 5 us:
+   some 280 more events per request, so even one word per event on the
+   preemption path (over 2 KB per request) exceeds the slack between the
+   two runs. The absolute bound catches per-event allocation on the paths
+   both runs share. *)
+let server_bytes_per_req ~quantum_ns =
+  let n_requests = 20_000 in
+  let run () =
+    let events = ref 0 in
+    ignore
+      (Repro_runtime.Server.run_detailed
+         ~config:(Repro_runtime.Systems.concord ~quantum_ns ())
+         ~mix:Repro_workload.Presets.ycsb_a
+         ~arrival:(Repro_workload.Arrival.Poisson { rate_rps = 1.2e5 })
+         ~n_requests ~seed:3 ~events_out:events ()
+        : Repro_runtime.Metrics.summary * Repro_engine.Stats.t);
+    !events
+  in
+  ignore (run () : int);
+  let overhead = probe_overhead () in
+  let a0 = Gc.allocated_bytes () in
+  let events = run () in
+  let a1 = Gc.allocated_bytes () in
+  let per_req x = x /. float_of_int n_requests in
+  (per_req (a1 -. a0 -. overhead), per_req (float_of_int events))
+
+let test_server_zero_alloc_per_event () =
+  let b5, e5 = server_bytes_per_req ~quantum_ns:5_000 in
+  let b1, e1 = server_bytes_per_req ~quantum_ns:1_000 in
+  if e1 < 2.0 *. e5 then
+    Alcotest.failf "the 1 us run must handle far more events per request (%.1f vs %.1f)" e1 e5;
+  if b1 > b5 +. slack_bytes then
+    Alcotest.failf
+      "bytes per request grew with events per request: %.1f B/req at %.1f events/req (1 us) vs \
+       %.1f at %.1f (5 us)"
+      b1 e1 b5 e5;
+  if b5 > 1024.0 || b1 > 1024.0 then
+    Alcotest.failf "server allocated %.1f / %.1f B/req (5 us / 1 us); bound 1024" b5 b1
+
 (* Branching-IR overhead pin: volrend (Branch) and fmm (While) exercise
    the new control-flow constructors on the deterministic Table-1 path;
    their overhead and p99 lateness must stay bit-identical. *)
@@ -586,6 +630,8 @@ let suite =
       test_heap_churn_zero_alloc;
     Alcotest.test_case "Discrete sampling allocation independent of entry count" `Quick
       test_discrete_sample_alloc_size_independent;
+    Alcotest.test_case "Server.run_detailed allocates nothing per event" `Quick
+      test_server_zero_alloc_per_event;
     (* After the allocation tests: the heap these runs leave behind skews
        their [Gc.allocated_bytes] deltas. *)
     Alcotest.test_case "raft paths bit-identical (failover, hedge, leases, overload)" `Quick

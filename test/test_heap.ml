@@ -38,15 +38,22 @@ let test_fifo_ties () =
   in
   Alcotest.(check (list string)) "fifo among equal keys" [ "first"; "a"; "b"; "c" ] order
 
-let test_clear () =
+(* Sequence numbers are the insertion count: the minimum entry carries the
+   [next_seq] it was added at, and popping never rewinds the counter. *)
+let test_seqs () =
   let h = Heap.create () in
-  for i = 0 to 99 do
-    Heap.add h ~key:i i
-  done;
-  Heap.clear h;
-  check "cleared" 0 (Heap.length h);
-  Heap.add h ~key:1 42;
-  check "usable after clear" 1 (Heap.length h)
+  check "fresh" 0 (Heap.next_seq h);
+  Heap.add h ~key:5 "a";
+  Heap.add h ~key:1 "b";
+  Heap.add h ~key:5 "c";
+  check "three adds" 3 (Heap.next_seq h);
+  check "min is the second add" 1 (Heap.unsafe_min_seq h);
+  ignore (Heap.pop_unsafe h : string);
+  check "then the first" 0 (Heap.unsafe_min_seq h);
+  ignore (Heap.pop_unsafe h : string);
+  ignore (Heap.pop_unsafe h : string);
+  Heap.add h ~key:0 "d";
+  check "not rewound by pops" 3 (Heap.unsafe_min_seq h)
 
 let test_iter () =
   let h = Heap.create () in
@@ -120,7 +127,7 @@ let suite =
     Alcotest.test_case "single element" `Quick test_single;
     Alcotest.test_case "pops in key order" `Quick test_ordering;
     Alcotest.test_case "FIFO among equal keys" `Quick test_fifo_ties;
-    Alcotest.test_case "clear resets" `Quick test_clear;
+    Alcotest.test_case "sequence numbers follow insertion" `Quick test_seqs;
     Alcotest.test_case "iter visits every entry" `Quick test_iter;
     Alcotest.test_case "grows past initial capacity" `Quick test_growth;
     Alcotest.test_case "unsafe accessors" `Quick test_unsafe_accessors;

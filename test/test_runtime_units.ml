@@ -134,6 +134,153 @@ let prop_policy_conserves =
       let popped = ids q ~worker:0 in
       List.sort compare popped = List.init (List.length services) (fun i -> i))
 
+(* --- queue models ------------------------------------------------------- *)
+
+(* Random push/pop sequences against a list model of each queue. The
+   central queue recycles its list nodes and keeps no option links, so the
+   model also checks that a pop never returns a request twice (a stale
+   node) or [Request.none] (a cleared one). *)
+type queue_op =
+  | Push_new of int (* service *)
+  | Push_preempted of int * int * int (* service, progress, last worker *)
+  | Pop of int (* worker *)
+  | Pop_not_started
+
+let show_queue_op = function
+  | Push_new s -> Printf.sprintf "push_new %d" s
+  | Push_preempted (s, d, w) -> Printf.sprintf "push_preempted %d/%d@%d" d s w
+  | Pop w -> Printf.sprintf "pop ~worker:%d" w
+  | Pop_not_started -> "pop_not_started"
+
+let gen_queue_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun s -> Push_new s) (int_range 1 50));
+        ( 2,
+          map3
+            (fun s d w -> Push_preempted (s + 1, min d s, w))
+            (int_range 1 50) (int_range 1 50) (int_range 0 3) );
+        (3, map (fun w -> Pop w) (int_range 0 3));
+        (1, return Pop_not_started);
+      ])
+
+(* A queued entry of the model: the request, whether it was pushed fresh,
+   its rank key and its push order. *)
+type entry = { r : Request.t; fresh : bool; key : int; seq : int }
+
+let model_pop kind entries ~worker =
+  let by_rank a b = compare (a.key, a.seq) (b.key, b.seq) in
+  let min_of = function [] -> None | l -> Some (List.hd (List.sort by_rank l)) in
+  match kind with
+  | Policy.Fcfs -> ( match entries with [] -> None | e :: _ -> Some e)
+  | Policy.Locality_fcfs -> (
+    let window = List.filteri (fun i _ -> i < 8) entries in
+    match List.find_opt (fun e -> e.r.Request.last_worker = worker) window with
+    | Some e -> Some e
+    | None -> ( match entries with [] -> None | e :: _ -> Some e))
+  | _ -> (
+    (* SRPT: the two heaps' minima, ties to the fresh one *)
+    let fresh, started = List.partition (fun e -> e.fresh) entries in
+    match (min_of fresh, min_of started) with
+    | Some f, Some s -> if f.key <= s.key then Some f else Some s
+    | (Some _ as f), None -> f
+    | None, s -> s)
+
+let model_pop_not_started kind entries =
+  let fresh = List.filter (fun e -> e.fresh) entries in
+  match kind with
+  | Policy.Srpt -> (
+    match List.sort (fun a b -> compare (a.key, a.seq) (b.key, b.seq)) fresh with
+    | [] -> None
+    | e :: _ -> Some e)
+  | _ -> ( match fresh with [] -> None | e :: _ -> Some e)
+
+let prop_policy_model =
+  QCheck.Test.make ~count:300 ~name:"fcfs, locality-fcfs and srpt match a list model"
+    QCheck.(
+      pair (int_range 0 2)
+        (make
+           ~print:(fun l -> String.concat "; " (List.map show_queue_op l))
+           Gen.(list_size (int_range 0 120) gen_queue_op)))
+    (fun (kind_idx, ops) ->
+      let kind = List.nth [ Policy.Fcfs; Policy.Locality_fcfs; Policy.Srpt ] kind_idx in
+      let q = Policy.create kind in
+      let model = ref [] and next_id = ref 0 and popped = Hashtbl.create 64 in
+      let push ~fresh ~service ~progress ~last_worker =
+        let r = request ~id:!next_id ~service_ns:service () in
+        r.Request.started <- not fresh;
+        r.Request.done_ns <- progress;
+        r.Request.last_worker <- last_worker;
+        let key = if fresh then service else service - progress in
+        model := !model @ [ { r; fresh; key; seq = !next_id } ];
+        incr next_id;
+        if fresh then Policy.push_new q r else Policy.push_preempted q r
+      in
+      let take expected got what =
+        match (expected, got) with
+        | None, None -> ()
+        | Some e, Some r ->
+          if r == Request.none || Hashtbl.mem popped r.Request.id then
+            QCheck.Test.fail_reportf "%s returned request %d again" what r.Request.id;
+          if r != e.r then
+            QCheck.Test.fail_reportf "%s returned %d, model says %d" what r.Request.id
+              e.r.Request.id;
+          Hashtbl.replace popped r.Request.id ();
+          model := List.filter (fun x -> x.r != r) !model
+        | Some e, None -> QCheck.Test.fail_reportf "%s: empty, model has %d" what e.r.Request.id
+        | None, Some r -> QCheck.Test.fail_reportf "%s: got %d from an empty model" what r.Request.id
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push_new service -> push ~fresh:true ~service ~progress:0 ~last_worker:(-1)
+          | Push_preempted (service, progress, last_worker) ->
+            push ~fresh:false ~service ~progress ~last_worker
+          | Pop worker -> take (model_pop kind !model ~worker) (Policy.pop q ~worker) "pop"
+          | Pop_not_started ->
+            take (model_pop_not_started kind !model) (Policy.pop_not_started q) "pop_not_started");
+          let n = List.length !model in
+          if Policy.length q <> n then QCheck.Test.fail_reportf "length %d, model %d" (Policy.length q) n;
+          if Policy.is_empty q <> (n = 0) then QCheck.Test.fail_report "is_empty disagrees";
+          if Policy.has_not_started q <> List.exists (fun e -> e.fresh) !model then
+            QCheck.Test.fail_report "has_not_started disagrees")
+        ops;
+      true)
+
+let prop_local_queue_model =
+  QCheck.Test.make ~count:300 ~name:"local queue matches a FIFO model"
+    QCheck.(pair (int_range 0 3) (list_of_size (Gen.int_range 0 60) bool))
+    (fun (capacity, pushes) ->
+      let q = Local_queue.create ~capacity in
+      let model = Queue.create () and next_id = ref 0 in
+      List.iter
+        (fun push ->
+          if push then begin
+            let r = request ~id:!next_id () in
+            incr next_id;
+            if Queue.length model >= capacity then
+              match Local_queue.push q r with
+              | () -> QCheck.Test.fail_report "push past capacity accepted"
+              | exception Invalid_argument _ -> ()
+            else begin
+              Local_queue.push q r;
+              Queue.push r model
+            end
+          end
+          else begin
+            match (Local_queue.pop q, Queue.take_opt model) with
+            | None, None -> ()
+            | Some r, Some m when r == m -> ()
+            | _ -> QCheck.Test.fail_report "pop disagrees with the model"
+          end;
+          if Local_queue.length q <> Queue.length model then
+            QCheck.Test.fail_report "length disagrees";
+          if Local_queue.is_full q <> (Queue.length model >= capacity) then
+            QCheck.Test.fail_report "is_full disagrees")
+        pushes;
+      true)
+
 (* --- local queue --------------------------------------------------------- *)
 
 let test_local_queue_fifo () =
@@ -311,6 +458,8 @@ let suite =
     Alcotest.test_case "locality prefers last worker" `Quick test_locality_prefers_last_worker;
     Alcotest.test_case "dispatcher steals only fresh requests" `Quick test_pop_not_started;
     QCheck_alcotest.to_alcotest prop_policy_conserves;
+    QCheck_alcotest.to_alcotest prop_policy_model;
+    QCheck_alcotest.to_alcotest prop_local_queue_model;
     Alcotest.test_case "local queue FIFO" `Quick test_local_queue_fifo;
     Alcotest.test_case "local queue bounds" `Quick test_local_queue_bounds;
     Alcotest.test_case "local queue zero capacity" `Quick test_local_queue_zero_capacity;

@@ -85,6 +85,27 @@ let test_capacity_and_events_processed () =
   Alcotest.(check int) "accumulates across runs" 100 (Sim.events_processed sim);
   Alcotest.(check int) "drained" 0 (Sim.pending sim)
 
+(* The liveness idiom models build on [current_seq]/[next_seq]: record
+   [next_seq] when armed events go stale; an event is live iff its
+   sequence number is at or past that mark. Here a timer is armed twice
+   and the first arming is cancelled before either fires. *)
+let test_seq_mark () =
+  let sim = Sim.create () in
+  Sim.schedule_at sim ~time:0 `Arm;
+  let mark = ref 0 and fired = ref [] in
+  Sim.run sim
+    ~handler:(fun s ev ->
+      match ev with
+      | `Arm ->
+        Sim.schedule_after s ~delay:10 (`Timer 1);
+        mark := Sim.next_seq s;
+        Sim.schedule_after s ~delay:20 (`Timer 2)
+      | `Timer n -> if Sim.current_seq s >= !mark then fired := n :: !fired)
+    ();
+  Alcotest.(check (list int)) "only the re-armed timer is live" [ 2 ] !fired;
+  Alcotest.(check int) "three schedules" 3 (Sim.next_seq sim);
+  Alcotest.(check int) "last handled is the third" 2 (Sim.current_seq sim)
+
 let prop_trace_is_time_sorted =
   QCheck.Test.make ~count:200 ~name:"any schedule produces a nondecreasing clock trace"
     QCheck.(list_of_size (Gen.int_range 0 50) (int_range 0 1000))
@@ -108,5 +129,6 @@ let suite =
     Alcotest.test_case "scheduling in the past is rejected" `Quick test_past_scheduling_rejected;
     Alcotest.test_case "capacity hint and events_processed" `Quick
       test_capacity_and_events_processed;
+    Alcotest.test_case "seq marks separate stale events from live ones" `Quick test_seq_mark;
     QCheck_alcotest.to_alcotest prop_trace_is_time_sorted;
   ]
