@@ -128,7 +128,8 @@ let of_mix ?grid ?(samples = default_samples) ?(seed = default_seed) (mix : Mix.
 
 (* Rank lookup with linear interpolation between grid ages; clamped at the
    ends. Called on every push of a preempted request — iterative binary
-   search on ints/floats, no allocation. *)
+   search on ints/floats, no allocation (a local recursive closure would
+   capture [a] and box it). *)
 let rank_ns t ~age_ns =
   let ages = t.ages and ranks = t.ranks in
   let n = Array.length ages in
@@ -137,14 +138,12 @@ let rank_ns t ~age_ns =
   else if a >= ages.(n - 1) then int_of_float (Float.round ranks.(n - 1))
   else begin
     (* smallest i with a < ages.(i); 1 <= i <= n-1 here *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) lsr 1 in
-        if a < Array.unsafe_get ages mid then search lo mid else search (mid + 1) hi
-      end
-    in
-    let i = search 1 (n - 1) in
+    let lo = ref 1 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if a < Array.unsafe_get ages mid then hi := mid else lo := mid + 1
+    done;
+    let i = !lo in
     let a0 = ages.(i - 1) and a1 = ages.(i) in
     let w = (a -. a0) /. (a1 -. a0) in
     let r = ranks.(i - 1) +. (w *. (ranks.(i) -. ranks.(i - 1))) in

@@ -90,8 +90,8 @@ let test_golden_cluster () =
 (* Standalone server paths: every [Systems.table] entry on ycsb-a, the
    rank-heap policies on a live ZippyDB store (lock windows, Gittins and
    per-opcode estimates), and ingress batching under a burst of short
-   requests. [md5] covers every summary field, the slowdown samples in
-   insertion order and the simulated event count, so a dispatcher or
+   requests. The digest covers every summary field, the slowdown samples
+   in insertion order and the simulated event count, so a dispatcher or
    worker step that fires one event more or less fails here even when no
    percentile moves. *)
 let samples_detail samples =
@@ -136,8 +136,6 @@ let standalone_path_runs =
             ~rate:2.0e6 ~n:3_000 () );
     ]
 
-let digest_line name detail = Printf.sprintf "(%S, %S);" name (Digest.to_hex (Digest.string detail))
-
 (* Captured at the commit before the server event path stopped allocating
    per event; that rewrite must reproduce every one. *)
 let golden_standalone_paths =
@@ -164,10 +162,10 @@ let test_golden_standalone_paths () =
   let failures =
     List.filter_map
       (fun (name, run) ->
-        let detail = run () in
+        let got = Digest.to_hex (Digest.string (run ())) in
         match List.assoc_opt name golden_standalone_paths with
-        | Some want when String.equal want (Digest.to_hex (Digest.string detail)) -> None
-        | _ -> Some (digest_line name detail))
+        | Some want when String.equal want got -> None
+        | _ -> Some (Printf.sprintf "(%S, %S);" name got))
       standalone_path_runs
   in
   if failures <> [] then
@@ -347,11 +345,7 @@ let raft_detail ((s : Repro_raft.Raft.summary), samples) =
     :: ("violations: " ^ String.concat "; " s.R.invariant_failures)
     :: metrics_detail s.R.client
     :: Array.to_list (Array.map metrics_detail s.R.per_node)
-    @ [
-        String.concat " "
-          (Array.to_list
-             (Array.map (Printf.sprintf "%.17g") (Repro_engine.Stats.values samples)));
-      ])
+    @ [ samples_detail samples ])
 
 let raft_fingerprint ((s : Repro_raft.Raft.summary), _ as run) =
   fingerprint s.Repro_raft.Raft.client ^ " md5=" ^ Digest.to_hex (Digest.string (raft_detail run))
