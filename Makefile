@@ -1,7 +1,6 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test bench bench-json bench-json-quick trace-smoke cluster-smoke \
-	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint bench-args \
-	cli-args perfbench-smoke clean
+.PHONY: all check build test trace-smoke cluster-smoke verify-probes-smoke policy-smoke \
+	hedge-smoke raft-smoke par-smoke model-smoke lint cli-args figure-smoke perfbench-smoke clean
 
 all: build
 
@@ -106,15 +105,6 @@ lint:
 	dune exec tools/lint.exe -- --expect-fail tools/fixtures/bad_escape.ml
 	dune exec tools/lint.exe -- --expect-fail tools/fixtures/stale_waiver.ml
 
-# Malformed bench/main.exe arguments must be rejected: each of these has
-# to exit non-zero, where an accepted one would run with the defaults.
-bench-args:
-	for a in "--jobs 0" "--jobs abc" "--jobs" "nonexistent-fig"; do \
-		if dune exec bench/main.exe -- $$a >/dev/null 2>&1; then \
-			echo "bench/main.exe accepted '$$a'"; exit 1; \
-		fi; \
-	done
-
 # Malformed concord_sim arguments must be rejected as usage errors: each
 # of these has to exit non-zero, and not with 125 (cmdliner's status for
 # an uncaught exception, i.e. a check that ran too late).
@@ -123,12 +113,22 @@ cli-args:
 	for a in "raft --sweep --points 0" "cluster --sweep --points 0" "raft -n 0" "cluster -n 0" \
 		"raft --rate 0" "raft-study --nodes 0" "raft --nodes 0" "cluster --instances 0" \
 		"cluster --sweep --jobs 0" "run -r 0" "run -r 100 --workers 0" "sls -r 100 --quantum=-1" \
-		"raft-study --write-ratios 2" "raft --cancel-cost-cycles=-5 --hedge fixed:150000"; do \
+		"raft-study --write-ratios 2" "raft --cancel-cost-cycles=-5 --hedge fixed:150000" \
+		"figure nonexistent-fig" "figure fig3 nonexistent-fig" "figure fig3 --jobs 0" \
+		"figure fig3 --jobs abc" "figure --jobs"; do \
 		dune exec bin/concord_sim.exe -- $$a >/dev/null 2>&1; s=$$?; \
 		if [ $$s -eq 0 ] || [ $$s -eq 125 ]; then \
 			echo "concord_sim '$$a' exited $$s"; exit 1; \
 		fi; \
 	done
+
+# Parallel sweeps must not change results: fig3 rendered with one domain
+# and with two has to be byte-identical (EXPERIMENTS.md, "Parallel sweep
+# execution").
+figure-smoke:
+	dune exec bin/concord_sim.exe -- figure fig3 --jobs 1 > _build/figure-smoke-j1.txt
+	dune exec bin/concord_sim.exe -- figure fig3 --jobs 2 > _build/figure-smoke-j2.txt
+	cmp _build/figure-smoke-j1.txt _build/figure-smoke-j2.txt
 
 # Benchmark smoke test: each perfbench workload must build, run a short
 # untraced measurement and pass its own output checks. run.py's last line
@@ -146,23 +146,7 @@ check:
 	dune build && dune runtest && $(MAKE) lint && $(MAKE) trace-smoke && $(MAKE) cluster-smoke \
 		&& $(MAKE) policy-smoke && $(MAKE) hedge-smoke && $(MAKE) raft-smoke \
 		&& $(MAKE) par-smoke && $(MAKE) model-smoke && $(MAKE) verify-probes-smoke \
-		&& $(MAKE) bench-args && $(MAKE) cli-args && $(MAKE) bench-json-quick \
-		&& $(MAKE) perfbench-smoke
-
-bench:
-	dune exec bench/main.exe
-
-# Core-throughput suite: fixed scenarios reported as simulated events/sec,
-# written as self-validated JSON (schema concord-bench-core/v2: top-level
-# "cores" plus per-scenario "engine"/"domains_used" keep parallel rows
-# interpretable). The full run regenerates the committed BENCH_core.json
-# reference; the quick (few-second) variant exercises the same path in
-# `make check`.
-bench-json:
-	dune exec bench/main.exe -- --json BENCH_core.json
-
-bench-json-quick:
-	dune exec bench/main.exe -- --json _build/bench-core-quick.json --quick
+		&& $(MAKE) cli-args && $(MAKE) figure-smoke && $(MAKE) perfbench-smoke
 
 clean:
 	dune clean

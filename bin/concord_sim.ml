@@ -2,14 +2,11 @@
 
    Subcommands:
      list                      enumerate figures, systems, workloads
-     figure <id> [--full]     regenerate one paper figure/ablation
-     table1                    regenerate Table 1
+     figure [id...] [--full]  regenerate Table 1 and the paper figures/ablations
      sweep ...                 load-sweep a system on a workload
      run ...                   one load point with a detailed summary *)
 
 open Cmdliner
-
-let print_figure fig = print_endline (Concord.Figure.render fig)
 
 (* A malformed input is a usage error: say why and exit 1. *)
 let or_exit = function
@@ -179,30 +176,44 @@ let list_cmd =
 let full_flag =
   Arg.(value & flag & info [ "full" ] ~doc:"Run at full scale (4x the requests per point).")
 
+(* Every id is resolved before any figure runs, so an unknown id anywhere
+   in the list fails at once instead of after the earlier figures. *)
 let figure_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Figure id (see list).")
+  let ids =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"ID" ~doc:"Figure ids (see list). None means table1 and then every figure.")
   in
-  let action id full csv =
+  let action ids full csv jobs =
     let scale = if full then Concord.Figures.Full else Concord.Figures.Quick in
-    if String.equal id "table1" then print_endline (Concord.Table1.render (Concord.Table1.rows ()))
-    else begin
-      let make =
-        or_exit (Option.to_result ~none:("unknown figure id: " ^ id) (Concord.Figures.by_id id))
-      in
+    let table1 () =
+      print_endline "[table1] Concord instrumentation overhead and timeliness (24 benchmarks)";
+      print_endline (Concord.Table1.render (Concord.Table1.rows ()))
+    in
+    let figure (make : ?scale:Concord.Figures.scale -> unit -> Concord.Figure.t) () =
       let fig = make ~scale () in
-      if csv then print_string (Concord.Figure.to_csv fig) else print_figure fig
-    end
+      print_string (if csv then Concord.Figure.to_csv fig else Concord.Figure.render fig ^ "\n")
+    in
+    let resolve = function
+      | "table1" -> Ok table1
+      | id ->
+        Option.to_result ~none:("unknown figure id: " ^ id)
+          (Option.map figure (Concord.Figures.by_id id))
+    in
+    let ids = if ids = [] then "table1" :: List.map fst Concord.Figures.all else ids in
+    let runs = List.map (fun id -> or_exit (resolve id)) ids in
+    Option.iter Repro_engine.Pool.set_default_jobs jobs;
+    List.iter
+      (fun run ->
+        run ();
+        if not csv then print_newline ())
+      runs
   in
-  Cmd.v (Cmd.info "figure" ~doc:"Regenerate one figure or table from the paper.")
-    Term.(const action $ id $ full_flag $ csv_flag ~doc:"Emit CSV instead of an aligned table.")
-
-(* ---- table1 --------------------------------------------------------- *)
-
-let table1_cmd =
-  let action () = print_endline (Concord.Table1.render (Concord.Table1.rows ())) in
-  Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table 1 (instrumentation overhead/timeliness).")
-    Term.(const action $ const ())
+  Cmd.v (Cmd.info "figure" ~doc:"Regenerate figures and Table 1 from the paper.")
+    Term.(
+      const action $ ids $ full_flag
+      $ csv_flag ~doc:"Emit CSV instead of an aligned table."
+      $ jobs_arg ~doc:"Domains for the sweep fan-out (1 runs sequentially).")
 
 (* ---- sweep ----------------------------------------------------------- *)
 
@@ -1174,7 +1185,6 @@ let () =
           [
             list_cmd;
             figure_cmd;
-            table1_cmd;
             sweep_cmd;
             run_cmd;
             frontier_cmd;

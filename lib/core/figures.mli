@@ -4,7 +4,7 @@
     numbers for every one.
 
     [scale] trades runtime for tail resolution: [Quick] (the default, used
-    by `dune exec bench/main.exe`) resolves every qualitative shape in a
+    by `concord_sim figure`) resolves every qualitative shape in a
     few minutes total; [Full] quadruples the per-point request counts for
     tighter p99.9 estimates. *)
 

@@ -35,7 +35,7 @@ val default_jobs : unit -> int
 
 val set_default_jobs : int -> unit
 (** Override {!default_jobs} process-wide (clamped to at least 1). This is
-    what [bench/main.exe --jobs N] sets; [--jobs 1] recovers fully
+    what [concord_sim figure --jobs N] sets; [--jobs 1] recovers fully
     sequential execution. *)
 
 val in_pool : unit -> bool

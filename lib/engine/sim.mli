@@ -32,8 +32,7 @@ val next_time : 'e t -> int
 
 val events_processed : 'e t -> int
 (** Total events popped and handled since [create], across all [run]s.
-    The simulated-events/sec figures in [bench/main.exe --json] divide this
-    by wall time. *)
+    perfbench's [engine.events_per_s] divides this by wall time. *)
 
 val current_seq : 'e t -> int
 (** Sequence number of the event whose handler is running (or ran last;

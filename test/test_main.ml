@@ -10,7 +10,6 @@ let () =
       ("engine.pool", Test_pool.suite);
       ("engine.par-sim", Test_par_sim.suite);
       ("engine.sim", Test_sim.suite);
-      ("engine.ring", Test_ring.suite);
       ("engine.queueing", Test_queueing.suite);
       ("hw", Test_hw.suite);
       ("workload", Test_workload.suite);

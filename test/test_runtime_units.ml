@@ -109,6 +109,37 @@ let test_pop_not_started () =
   Alcotest.(check bool) "only started left" false (Policy.has_not_started q);
   Alcotest.(check int) "started request still queued" 1 (Policy.length q)
 
+(* The work-conserving dispatcher probes has_not_started/pop_not_started
+   on every idle-worker check, so both must cost O(1) whatever the backlog.
+   Every queued request has started, so the FCFS fresh sublist is empty and
+   neither probe may touch the main list; a scan of it makes the probe about
+   256x dearer at backlog 32768 than at 128. The 200 ns floor keeps timer
+   noise at a few ns per op from failing the test, while a scan of 32k
+   nodes costs about 10 us per op. Timed in process CPU time, so a
+   descheduled test run does not count. *)
+let test_steal_probes_constant_time () =
+  let iters = 500_000 / 5 in
+  let per_op n =
+    let q = Policy.create Policy.Fcfs in
+    for id = 0 to n - 1 do
+      let r = request ~id () in
+      r.Request.started <- true;
+      Policy.push_preempted q r
+    done;
+    let t0 = Sys.time () in
+    for _ = 1 to iters do
+      if Policy.has_not_started q then Alcotest.fail "started-only queue claims fresh work";
+      if Policy.pop_not_started q <> None then
+        Alcotest.fail "started-only queue yielded a steal candidate"
+    done;
+    (Sys.time () -. t0) /. float_of_int iters
+  in
+  let small = per_op 128 in
+  let big = per_op 32_768 in
+  if big > 8.0 *. small && big > 2e-7 then
+    Alcotest.failf "steal-probe per-op grew %.1fx from backlog 128 to 32768 (%.1f ns -> %.1f ns)"
+      (big /. small) (small *. 1e9) (big *. 1e9)
+
 let prop_policy_conserves =
   let gittins =
     Policy.Gittins
@@ -457,6 +488,8 @@ let suite =
     Alcotest.test_case "SRPT least-remaining order" `Quick test_srpt_order;
     Alcotest.test_case "locality prefers last worker" `Quick test_locality_prefers_last_worker;
     Alcotest.test_case "dispatcher steals only fresh requests" `Quick test_pop_not_started;
+    Alcotest.test_case "steal probes cost O(1) in the backlog" `Quick
+      test_steal_probes_constant_time;
     QCheck_alcotest.to_alcotest prop_policy_conserves;
     QCheck_alcotest.to_alcotest prop_policy_model;
     QCheck_alcotest.to_alcotest prop_local_queue_model;
