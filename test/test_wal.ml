@@ -88,6 +88,77 @@ let prop_roundtrip_random =
       in
       Wal.replay w = expected)
 
+(* --- byte-level golden ----------------------------------------------------- *)
+
+(* A fixed record sequence covering every encoder branch: values and
+   tombstones, an empty key, an empty value, binary bytes, and enough
+   records to grow the log well past its initial 4 KB. *)
+let golden_records () =
+  [
+    ("alpha", Skiplist.Value "1");
+    ("beta", Skiplist.Tombstone);
+    ("", Skiplist.Value "empty key");
+    ("empty value", Skiplist.Value "");
+    ("", Skiplist.Tombstone);
+    ("bin\x00\xff\x7f", Skiplist.Value "\x00\x01\x02\xfe\xff\x80 bytes");
+  ]
+  @ List.init 120 (fun i ->
+        let key = Printf.sprintf "e%08d" i in
+        if i mod 7 = 3 then (key, Skiplist.Tombstone)
+        else
+          let value =
+            Printf.sprintf "term:%d;req:%d;%s" (i / 10) (i * 31) (String.make (i mod 40) 'v')
+          in
+          (key, Skiplist.Value value))
+
+let append_all w = List.iter (fun (key, entry) -> Wal.append w ~key ~entry)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Captured from the Buffer-based encoder before the in-place rewrite;
+   the on-disk format must not change. *)
+let golden_contents_md5 = "bc2d3f0c075d9e4e2dc85086577e23b1"
+let golden_reappend_md5 = "5dbbbf0ade29ddadc3c0e4543e3f4ead"
+
+let test_golden_bytes () =
+  let w = Wal.create () in
+  append_all w (golden_records ());
+  Alcotest.(check bool) "past the initial capacity" true (Wal.byte_size w > 4096);
+  Alcotest.(check string) "log bytes" golden_contents_md5 (md5 (Wal.contents w));
+  Wal.truncate w;
+  append_all w (golden_records ());
+  Wal.append w ~key:"after" ~entry:(Skiplist.Value "truncate");
+  Alcotest.(check string) "log bytes after truncate + re-append" golden_reappend_md5
+    (md5 (Wal.contents w));
+  Wal.corrupt_tail w;
+  let replayed = Wal.replay w in
+  Alcotest.(check int) "corrupt tail drops only the last record" (List.length (golden_records ()))
+    (List.length replayed);
+  Alcotest.(check bool) "intact prefix replays exactly" true (replayed = golden_records ())
+
+(* Bitwise reference CRC-32: no table, one bit at a time. *)
+let reference_crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"crc32 digest and split update match a bitwise reference"
+    QCheck.(pair string small_nat)
+    (fun (s, k) ->
+      let want = reference_crc32 s in
+      let split = if s = "" then 0 else k mod (String.length s + 1) in
+      let a = String.sub s 0 split and b = String.sub s split (String.length s - split) in
+      let as_int c = Int32.to_int c land 0xFFFFFFFF in
+      as_int (Wal.Crc32.digest s) = want
+      && as_int (Wal.Crc32.update (Wal.Crc32.digest a) b) = want)
+
 (* --- store crash recovery --------------------------------------------------- *)
 
 let test_recovery_preserves_unflushed_writes () =
@@ -147,6 +218,8 @@ let suite =
       test_corrupt_tail_drops_only_last;
     Alcotest.test_case "torn writes" `Quick test_torn_write_dropped;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
+    Alcotest.test_case "log bytes golden" `Quick test_golden_bytes;
+    QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
     Alcotest.test_case "recovery preserves unflushed writes" `Quick
       test_recovery_preserves_unflushed_writes;
     Alcotest.test_case "recovery after compaction" `Quick test_recovery_after_compaction;
