@@ -1,71 +1,89 @@
 module Crc32 = struct
-  (* Standard reflected CRC-32 (polynomial 0xEDB88320), table-driven. *)
+  (* Standard reflected CRC-32 (polynomial 0xEDB88320), table-driven, with
+     the 32-bit state held in an immediate [int]: nothing is boxed per
+     byte. *)
   let table =
     lazy
       (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
+           let c = ref n in
            for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
+             c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
            done;
            !c))
 
-  let update crc s =
+  (* Continue the checksum [crc] (as an unsigned 32-bit int) over
+     [len] bytes of [b] from [off]. *)
+  let update_range crc b ~off ~len =
     let table = Lazy.force table in
-    let c = ref (Int32.lognot crc) in
-    String.iter
-      (fun ch ->
-        let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-        c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-      s;
-    Int32.lognot !c
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    for i = off to off + len - 1 do
+      let idx = (!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF in
+      c := Array.unsafe_get table idx lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF
+
+  let update crc s =
+    Int32.of_int
+      (update_range (Int32.to_int crc land 0xFFFFFFFF) (Bytes.unsafe_of_string s) ~off:0
+         ~len:(String.length s))
 
   let digest s = update 0l s
 end
 
-type t = { mutable buf : Buffer.t; mutable count : int }
+(* The encoded log is the prefix [0, len) of [buf]; records are written
+   into it in place and [buf] doubles when a record does not fit. *)
+type t = { mutable buf : Bytes.t; mutable len : int; mutable count : int }
 
-let create () = { buf = Buffer.create 4096; count = 0 }
+let initial_capacity = 4096
+let create () = { buf = Bytes.create initial_capacity; len = 0; count = 0 }
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
+let set_u32 b off v =
+  Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xFF));
+  Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
+  Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
+  Bytes.unsafe_set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
 
-let get_u32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
+let get_u32 b off =
+  Char.code (Bytes.get b off)
+  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
+  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
+  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
 
-let encode_payload ~key ~entry =
-  let payload = Buffer.create (String.length key + 16) in
-  put_u32 payload (String.length key);
-  Buffer.add_string payload key;
+let reserve t n =
+  let need = t.len + n in
+  if need > Bytes.length t.buf then begin
+    let buf = Bytes.create (max need (2 * Bytes.length t.buf)) in
+    Bytes.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+  end
+
+(* [crc | key_len | key | tag | val_len | value]: a CRC placeholder, then
+   the payload, then the CRC of the payload's byte range patched in. *)
+let append t ~key ~entry =
+  let key_len = String.length key in
+  let val_len = match entry with Skiplist.Value v -> String.length v | Skiplist.Tombstone -> 0 in
+  let payload_len = 4 + key_len + 1 + 4 + val_len in
+  reserve t (4 + payload_len);
+  let b = t.buf and start = t.len in
+  let payload = start + 4 in
+  set_u32 b payload key_len;
+  Bytes.blit_string key 0 b (payload + 4) key_len;
+  let tag = payload + 4 + key_len in
   (match entry with
   | Skiplist.Value v ->
-    Buffer.add_char payload '\000';
-    put_u32 payload (String.length v);
-    Buffer.add_string payload v
-  | Skiplist.Tombstone ->
-    Buffer.add_char payload '\001';
-    put_u32 payload 0);
-  Buffer.contents payload
-
-let append t ~key ~entry =
-  let payload = encode_payload ~key ~entry in
-  put_u32 t.buf (Int32.to_int (Crc32.digest payload) land 0xFFFFFFFF);
-  Buffer.add_string t.buf payload;
+    Bytes.unsafe_set b tag '\000';
+    Bytes.blit_string v 0 b (tag + 5) val_len
+  | Skiplist.Tombstone -> Bytes.unsafe_set b tag '\001');
+  set_u32 b (tag + 1) val_len;
+  set_u32 b start (Crc32.update_range 0 b ~off:payload ~len:payload_len);
+  t.len <- payload + payload_len;
   t.count <- t.count + 1
 
-let byte_size t = Buffer.length t.buf
+let byte_size t = t.len
 let record_count t = t.count
 
 let replay t =
-  let s = Buffer.contents t.buf in
-  let len = String.length s in
+  let s = t.buf and len = t.len in
   let rec decode off acc =
     if off + 4 > len then List.rev acc
     else begin
@@ -74,26 +92,22 @@ let replay t =
       if off + 4 > len then List.rev acc
       else begin
         let key_len = get_u32 s off in
-        if key_len < 0 || off + 4 + key_len + 1 + 4 > len then List.rev acc
+        if off + 4 + key_len + 1 + 4 > len then List.rev acc
         else begin
-          let key = String.sub s (off + 4) key_len in
           let tag_off = off + 4 + key_len in
-          let tag = s.[tag_off] in
           let val_len = get_u32 s (tag_off + 1) in
           let val_off = tag_off + 1 + 4 in
-          if val_len < 0 || val_off + val_len > len then List.rev acc
+          if val_off + val_len > len then List.rev acc
+          else if Crc32.update_range 0 s ~off ~len:(val_off + val_len - off) <> stored_crc then
+            List.rev acc (* corrupt record: stop, keep the intact prefix *)
           else begin
-            let payload = String.sub s off (4 + key_len + 1 + 4 + val_len) in
-            if Int32.to_int (Crc32.digest payload) land 0xFFFFFFFF <> stored_crc then
-              List.rev acc (* corrupt record: stop, keep the intact prefix *)
-            else begin
-              let entry =
-                match tag with
-                | '\000' -> Skiplist.Value (String.sub s val_off val_len)
-                | '\001' | _ -> Skiplist.Tombstone
-              in
-              decode (val_off + val_len) ((key, entry) :: acc)
-            end
+            let key = Bytes.sub_string s (off + 4) key_len in
+            let entry =
+              match Bytes.get s tag_off with
+              | '\000' -> Skiplist.Value (Bytes.sub_string s val_off val_len)
+              | '\001' | _ -> Skiplist.Tombstone
+            in
+            decode (val_off + val_len) ((key, entry) :: acc)
           end
         end
       end
@@ -101,18 +115,15 @@ let replay t =
   in
   decode 0 []
 
+(* The buffer is kept: the next memtable's records overwrite it in place. *)
 let truncate t =
-  t.buf <- Buffer.create 4096;
+  t.len <- 0;
   t.count <- 0
 
 let corrupt_tail t =
-  let s = Buffer.to_bytes t.buf in
-  let len = Bytes.length s in
-  if len > 0 then begin
-    let pos = len - 1 in
-    Bytes.set s pos (Char.chr (Char.code (Bytes.get s pos) lxor 0x5A));
-    t.buf <- Buffer.create (len + 64);
-    Buffer.add_bytes t.buf s
+  if t.len > 0 then begin
+    let pos = t.len - 1 in
+    Bytes.set t.buf pos (Char.chr (Char.code (Bytes.get t.buf pos) lxor 0x5A))
   end
 
-let contents t = Buffer.contents t.buf
+let contents t = Bytes.sub_string t.buf 0 t.len

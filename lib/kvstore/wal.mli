@@ -9,7 +9,12 @@
 
     Record layout (little-endian lengths):
     [crc32 (4B) | key_len (4B) | key | tag (1B: 0=value, 1=tombstone) |
-    val_len (4B) | value], where the CRC covers everything after itself. *)
+    val_len (4B) | value], where the CRC covers everything after itself.
+
+    Records are encoded in place into one growable byte buffer and
+    checksummed over their byte range, with the CRC state held in an
+    immediate int: once the buffer has room, {!append} allocates
+    nothing. *)
 
 (** CRC-32 (IEEE 802.3, reflected), implemented from scratch. *)
 module Crc32 : sig
@@ -33,12 +38,14 @@ val byte_size : t -> int
 val record_count : t -> int
 
 val replay : t -> (string * Skiplist.entry) list
-(** Decode all intact records in append order. A torn or corrupt tail
+(** Decode all intact records in append order, checking each record's CRC
+    over its bytes in place. A torn or corrupt tail
     (e.g. from a crash mid-append) terminates the replay silently, exactly
     as LevelDB treats a truncated log — records before it are returned. *)
 
 val truncate : t -> unit
-(** Drop the log (after a successful memtable flush). *)
+(** Drop the log (after a successful memtable flush). Its buffer is kept
+    for the records that follow. *)
 
 val corrupt_tail : t -> unit
 (** Testing hook: flip a byte in the final record's payload, simulating a

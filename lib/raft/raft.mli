@@ -113,7 +113,8 @@ val make :
     follower AppendEntries 180 us — calibrated so a 50 us direct
     operation lands near the Concord/Ra consensus table: ~3.8x at one
     member, ~15x+ at three. Validates every member config, and rejects
-    [lease_cycles > election_timeout_cycles] (lease safety). *)
+    [lease_cycles > election_timeout_cycles] (lease safety) and groups of
+    more than 62 members (each entry's quorum acks are one int bitmap). *)
 
 val homogeneous :
   ?read_lb:Lb_policy.t ->

@@ -585,6 +585,102 @@ let test_server_zero_alloc_per_event () =
   if b5 > 1024.0 || b1 > 1024.0 then
     Alcotest.failf "server allocated %.1f / %.1f B/req (5 us / 1 us); bound 1024" b5 b1
 
+(* Appending to a WAL whose buffer already holds the records allocates
+   nothing: the CRC state is an immediate int and each record is encoded
+   in place. [truncate] keeps the buffer, so the second pass appends the
+   same records into capacity the first pass reached. *)
+let test_wal_append_zero_alloc () =
+  let module Wal = Repro_kvstore.Wal in
+  let module Skiplist = Repro_kvstore.Skiplist in
+  let records = 10_000 in
+  let key = "e00000042" and value = Skiplist.Value "term:3;req:1234;vvvvvvvvvvvvvvvvvvvvvvvv" in
+  let wal = Wal.create () in
+  let fill () =
+    Wal.truncate wal;
+    for _ = 1 to records do
+      Wal.append wal ~key ~entry:value;
+      Wal.append wal ~key ~entry:Skiplist.Tombstone
+    done
+  in
+  fill ();
+  let overhead = probe_overhead () in
+  let a0 = Gc.allocated_bytes () in
+  fill ();
+  let a1 = Gc.allocated_bytes () in
+  let net = a1 -. a0 -. overhead in
+  if net > slack_bytes then
+    Alcotest.failf "Wal.append allocated %.0f bytes over %d records (%.2f B/record); expected 0"
+      net (2 * records)
+      (net /. float_of_int (2 * records))
+
+(* Consensus path allocation, on the raft-3node bench shape: default
+   members, ycsb-a at 40% of the group's consensus-aware capacity, hedged
+   lease reads and a 3x straggler, 2000 requests.
+
+   Budget, 2 KB per request. A request still allocates its own objects:
+   the client request, its sampled profile and client record, and on
+   half the arrivals (the writes) three mini requests, the leader's
+   append and two AppendEntries, with their four protocol messages
+   (AppendEntries and acks) and two re-armed election timers. Each leg
+   and mini request also takes a [live] entry and metrics samples at its
+   member. Those come to about 1.2 KB. Log storage adds about 0.3 KB:
+   three WAL records per write and the mirror logs, each buffer doubling
+   as it grows. Setup (three instances, the event heap, the tables)
+   spread over 2000 requests adds about 0.1 KB. The rest is slack for
+   the straggler's backlog, whose in-flight tables grow with the run.
+   The measured figure is about 1.7 KB. Boxing the CRC state per byte
+   (about 1.8 KB per request) or formatting each record with [Printf]
+   (about 1.3 KB) would each break the budget alone.
+
+   A 1 us quantum preempts ycsb-a's long requests far more often: some
+   1250 more events per request. One word per event on the
+   member instances or the protocol path would add 10 KB per request, so
+   the 1 us run may exceed the 5 us run by no more than [slack_bytes]. *)
+let raft_bytes_per_req ~quantum_ns =
+  let n_requests = 2_000 in
+  let run () =
+    let raft =
+      Repro_raft.Raft.homogeneous
+        ~hedge:(Repro_cluster.Hedge.Fixed { delay_ns = 150_000 })
+        ~stragglers:[ (1, 3.0) ] ~nodes:3
+        (Repro_runtime.Systems.concord ~quantum_ns ())
+    in
+    let events = ref 0 in
+    ignore
+      (Repro_raft.Raft.run_detailed ~raft ~mix:Repro_workload.Presets.ycsb_a
+         ~arrival:(Repro_workload.Arrival.Poisson { rate_rps = 55.9e3 })
+         ~n_requests ~seed:3 ~events_out:events ()
+        : Repro_raft.Raft.summary * Repro_engine.Stats.t);
+    !events
+  in
+  ignore (run () : int);
+  let overhead = probe_overhead () in
+  let a0 = Gc.allocated_bytes () in
+  let events = run () in
+  let a1 = Gc.allocated_bytes () in
+  let per_req x = x /. float_of_int n_requests in
+  (per_req (a1 -. a0 -. overhead), per_req (float_of_int events))
+
+let raft_budget_bytes = 2048.0
+
+let raft_5us = lazy (raft_bytes_per_req ~quantum_ns:5_000)
+
+let test_raft_alloc_budget () =
+  let b5, _ = Lazy.force raft_5us in
+  if b5 > raft_budget_bytes then
+    Alcotest.failf "Raft.run_detailed allocated %.1f B/req; budget %.0f" b5 raft_budget_bytes
+
+let test_raft_zero_alloc_per_event () =
+  let b5, e5 = Lazy.force raft_5us in
+  let b1, e1 = raft_bytes_per_req ~quantum_ns:1_000 in
+  if e1 < 2.0 *. e5 then
+    Alcotest.failf "the 1 us run must handle far more events per request (%.1f vs %.1f)" e1 e5;
+  if b1 > b5 +. slack_bytes then
+    Alcotest.failf
+      "raft bytes per request grew with events per request: %.1f B/req at %.1f events/req (1 \
+       us) vs %.1f at %.1f (5 us)"
+      b1 e1 b5 e5
+
 (* Branching-IR overhead pin: volrend (Branch) and fmm (While) exercise
    the new control-flow constructors on the deterministic Table-1 path;
    their overhead and p99 lateness must stay bit-identical. *)
@@ -626,6 +722,12 @@ let suite =
       test_discrete_sample_alloc_size_independent;
     Alcotest.test_case "Server.run_detailed allocates nothing per event" `Quick
       test_server_zero_alloc_per_event;
+    Alcotest.test_case "Wal.append allocates nothing per record" `Quick
+      test_wal_append_zero_alloc;
+    Alcotest.test_case "Raft.run_detailed stays within its allocation budget" `Quick
+      test_raft_alloc_budget;
+    Alcotest.test_case "Raft.run_detailed allocates nothing per event" `Quick
+      test_raft_zero_alloc_per_event;
     (* After the allocation tests: the heap these runs leave behind skews
        their [Gc.allocated_bytes] deltas. *)
     Alcotest.test_case "raft paths bit-identical (failover, hedge, leases, overload)" `Quick

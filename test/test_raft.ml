@@ -165,6 +165,73 @@ let test_negative_cancel_cost_rejected () =
            ~nodes:3 (small_config ())));
   ignore (Raft.homogeneous ~cancel_cost_cycles:0 ~nodes:3 (small_config ()))
 
+let test_member_limit () =
+  (* quorum acks are one bit per member of an int *)
+  Alcotest.check_raises "63 members"
+    (Invalid_argument "Raft.make: at most 62 members (quorum acks are one int bitmap)")
+    (fun () -> ignore (Raft.homogeneous ~nodes:63 (small_config ())));
+  ignore (Raft.homogeneous ~nodes:62 (small_config ()))
+
+(* --- the protocol's int-keyed tables -------------------------------------- *)
+
+module Int_table = Repro_raft.Int_table
+
+type table_op = Add of int * int | Remove of int | Clear
+
+(* Keys drift upward like log indexes and request ids, with some far
+   jumps that force the table to grow past a live key. *)
+let table_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map2 (fun k v -> Add (k, v)) (int_bound 300) small_int);
+        (1, map (fun k -> Add (k, 7)) (int_bound 100_000));
+        (4, map (fun k -> Remove k) (int_bound 300));
+        (1, return Clear);
+      ]
+  in
+  list_size (int_range 0 400) op
+
+let prop_int_table_matches_hashtbl =
+  QCheck.Test.make ~count:300 ~name:"Int_table matches a Hashtbl model"
+    (QCheck.make table_ops)
+    (fun ops ->
+      let t = Int_table.create ~cols:2 in
+      let model : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+      let agree k =
+        let s = Int_table.find t k in
+        match Hashtbl.find_opt model k with
+        | None -> s = -1
+        | Some (a, b) -> s >= 0 && Int_table.get t s ~col:0 = a && Int_table.get t s ~col:1 = b
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (k, v) ->
+            let s = Int_table.add t k in
+            let fresh = not (Hashtbl.mem model k) in
+            (* a fresh row starts zeroed; an existing one keeps its values *)
+            let a, b =
+              if fresh then (Int_table.get t s ~col:0, Int_table.get t s ~col:1)
+              else Hashtbl.find model k
+            in
+            if fresh && (a, b) <> (0, 0) then failwith "fresh row not zeroed";
+            if (Int_table.get t s ~col:0, Int_table.get t s ~col:1) <> (a, b) then
+              failwith "existing row changed by add";
+            Int_table.set t s ~col:1 v;
+            Hashtbl.replace model k (a, v)
+          | Remove k ->
+            Int_table.remove t k;
+            Hashtbl.remove model k
+          | Clear ->
+            Int_table.clear t;
+            Hashtbl.reset model);
+          Int_table.length t = Hashtbl.length model
+          && List.for_all agree [ 0; 1; 150; 299; 5_000 ]
+          && Hashtbl.fold (fun k _ ok -> ok && agree k) model true)
+        ops)
+
 (* --- Instance.cancel after completion (documented no-op) ------------------ *)
 
 type cancel_ev = Inst of Server.event | Cancel_now
@@ -216,6 +283,8 @@ let suite =
       test_hedge_reads_never_writes;
     Alcotest.test_case "negative cancel cost is rejected" `Quick
       test_negative_cancel_cost_rejected;
+    Alcotest.test_case "more than 62 members is rejected" `Quick test_member_limit;
+    QCheck_alcotest.to_alcotest prop_int_table_matches_hashtbl;
     Alcotest.test_case "cancel after completion is a no-op" `Quick
       test_cancel_completed_request_is_noop;
   ]
