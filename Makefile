@@ -117,7 +117,9 @@ cli-args:
 	dune build bin/concord_sim.exe
 	for a in "raft --sweep --points 0" "cluster --sweep --points 0" "raft -n 0" "cluster -n 0" \
 		"raft --rate 0" "raft-study --nodes 0" "raft --nodes 0" "cluster --instances 0" \
-		"cluster --sweep --jobs 0" "run -r 0" "run -r 100 --workers 0" "sls -r 100 --quantum=-1" \
+		"cluster --sweep --jobs 0" "run -r 0" "run -r 100 --workers 0" \
+		"run --system concord-sls -r 100 --quantum=-1" "cluster --system concord-sls -n 100" \
+		"run --system d-fcfs --policy srpt -r 100" \
 		"raft-study --write-ratios 2" "raft --cancel-cost-cycles=-5 --hedge fixed:150000" \
 		"figure nonexistent-fig" "figure fig3 nonexistent-fig" "figure fig3 --jobs 0" \
 		"figure fig3 --jobs abc" "figure --jobs"; do \

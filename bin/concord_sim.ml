@@ -70,9 +70,13 @@ let central_policy_arg =
 let resolve ?policy ~system ~workload ~quantum ~workers () =
   let config = or_exit (Concord.configure ~system ?n_workers:workers ~quantum_us:quantum ()) in
   let mix = or_exit (Concord.workload workload) in
-  match policy with
-  | None -> (config, mix)
-  | Some spec -> (or_exit (Concord.with_policy config ~spec ~mix), mix)
+  let config =
+    match policy with
+    | None -> config
+    | Some spec -> or_exit (Concord.with_policy config ~spec ~mix)
+  in
+  checked (fun () -> Concord.Config.validate config);
+  (config, mix)
 
 (* One flag, two disjoint namespaces: a spec that names an LB policy sets
    the routing policy, anything else is a central-queue policy for every
@@ -927,45 +931,6 @@ let hedge_study_cmd =
       $ jobs_arg ~doc:"Domains for the cell fan-out."
       $ csv_flag ~doc:"Emit CSV instead of the table.")
 
-(* ---- sls (6) -------------------------------------------------------------- *)
-
-let sls_cmd =
-  let variant_arg =
-    Arg.(
-      value
-      & opt string "concord-sls"
-      & info [ "variant" ] ~docv:"V" ~doc:"concord-sls | shenango | d-fcfs")
-  in
-  let action variant workload quantum workers rate n_requests seed =
-    let module Sls = Repro_runtime.Sls_server in
-    let make =
-      or_exit
-        (match variant with
-        | "concord-sls" -> Ok Sls.concord_sls
-        | "shenango" -> Ok Sls.shenango_like
-        | "d-fcfs" -> Ok Sls.partitioned_fcfs
-        | v -> Error ("unknown SLS variant: " ^ v))
-    in
-    let config =
-      make ?n_workers:workers ~quantum_ns:(int_of_float (quantum *. 1e3)) ()
-    in
-    let mix = or_exit (Concord.workload workload) in
-    let s =
-      Sls.run ~config ~mix
-        ~arrival:(Concord.Arrival.Poisson { rate_rps = rate *. 1e3 })
-        ~n_requests ~seed ()
-    in
-    Printf.printf "%s on %s at %.1f kRps\n" config.Sls.name mix.Concord.Mix.name rate;
-    print_endline Concord.Metrics.summary_header;
-    print_endline (Concord.Metrics.summary_row s)
-  in
-  Cmd.v
-    (Cmd.info "sls" ~doc:"Run a single-logical-queue (work-stealing) system (6).")
-    Term.(
-      const action $ variant_arg $ workload_arg $ quantum_arg $ workers_arg
-      $ Arg.(required & opt (some pos_float) None & rate_info ())
-      $ requests_arg () $ seed_arg)
-
 (* ---- trace ----------------------------------------------------------------- *)
 
 let trace_cmd =
@@ -1193,7 +1158,6 @@ let () =
             replicate_cmd;
             raft_cmd;
             raft_study_cmd;
-            sls_cmd;
             trace_cmd;
             overheads_cmd;
             verify_probes_cmd;

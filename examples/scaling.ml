@@ -29,14 +29,7 @@ let () =
            ~mix ~rate_rps:rate ~n_requests:40_000 ())
           .Repro_cluster.Replication.p999_slowdown
       in
-      let sls =
-        (Repro_runtime.Sls_server.run
-           ~config:(Repro_runtime.Sls_server.concord_sls ())
-           ~mix
-           ~arrival:(Arrival.Poisson { rate_rps = rate })
-           ~n_requests:40_000 ())
-          .Concord.Metrics.p999_slowdown
-      in
+      let sls = p999 (Concord.Systems.concord_sls ()) in
       Printf.printf "%12.1f  %-14.2f %-14.2f %-14.2f %-14.2f\n%!" (rate /. 1e6) plain batched
         replicated sls)
     rates;

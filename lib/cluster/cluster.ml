@@ -16,6 +16,11 @@ type instance_spec = { config : Config.t; speed_factor : float }
 let spec ?(speed_factor = 1.0) config =
   if speed_factor <= 0.0 then invalid_arg "Cluster.spec: speed_factor must be positive";
   Config.validate config;
+  (* Cancelling a hedge leg and surrendering a queued request both go
+     through the member's dispatcher, which a logical queue lacks. *)
+  (match config.Config.queue_model with
+  | Config.Logical _ -> invalid_arg "Cluster.spec: a logical-queue server has no dispatcher"
+  | Config.Single_queue | Config.Jbsq _ -> ());
   { config; speed_factor }
 
 type t = {

@@ -31,7 +31,10 @@ type instance_spec = {
 }
 
 val spec : ?speed_factor:float -> Config.t -> instance_spec
-(** [speed_factor] defaults to 1.0. *)
+(** [speed_factor] defaults to 1.0. Raises [Invalid_argument] for an
+    invalid config, and for a {!Config.Logical} one: the balancer cancels
+    hedge legs and takes back queued requests through the member's
+    dispatcher, which a logical queue does not have. *)
 
 type t = {
   policy : Lb_policy.t;
@@ -58,7 +61,7 @@ val make :
   ?policy:Lb_policy.t -> ?rtt_cycles:int -> ?hedge:Hedge.t ->
   ?cancel_cost_cycles:int -> ?steal:bool -> instance_spec array -> t
 (** Defaults: [Po2c], [rtt_cycles = 0], hedging {!Hedge.Off}, no stealing.
-    Validates every spec eagerly. *)
+    Validates every spec eagerly, as {!spec} does. *)
 
 val homogeneous :
   ?policy:Lb_policy.t -> ?rtt_cycles:int -> ?hedge:Hedge.t ->

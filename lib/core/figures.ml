@@ -147,7 +147,7 @@ let fig3 ?(scale = Quick) () =
         +
         match config.Config.queue_model with
         | Config.Jbsq _ -> c.Costs.disp_jbsq_pick_cycles
-        | Config.Single_queue -> 0)
+        | Config.Single_queue | Config.Logical _ -> 0)
     in
     0.6 /. float_of_int (max 1 per_req) *. 1e9
   in
@@ -515,52 +515,23 @@ let ablation_probe_spacing ?(scale = Quick) () =
 
 let ablation_sls ?(scale = Quick) () =
   let quantum_ns = 2_000 in
-  let mix = Presets.usr in
-  let rates = range 500e3 4.5e6 500e3 in
-  let n = n_req scale 40_000 in
-  let physical =
-    let sweep =
-      Sweep.run ~config:(Systems.concord ~quantum_ns ()) ~mix ~rates ~n_requests:n ()
-    in
-    {
-      Figure.label = "Concord (physical queue)";
-      points = List.map (fun (r, p) -> (r /. 1e3, p)) (Sweep.p999_series sweep);
-    }
-  in
-  let sls_series (label, config) =
-    let points =
-      Pool.parallel_map
-        (fun rate_rps ->
-          let s =
-            Repro_runtime.Sls_server.run ~config ~mix
-              ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-              ~n_requests:n ()
-          in
-          (rate_rps /. 1e3, s.Metrics.p999_slowdown))
-        rates
-    in
-    { Figure.label; points }
-  in
-  let series =
-    physical
-    :: List.map sls_series
-         [
-           ("Concord-SLS (stealing)", Repro_runtime.Sls_server.concord_sls ~quantum_ns ());
-           ("Shenango-like (no preempt)", Repro_runtime.Sls_server.shenango_like ~quantum_ns ());
-           ("d-FCFS (partitioned)", Repro_runtime.Sls_server.partitioned_fcfs ~quantum_ns ());
-         ]
-  in
-  {
-    Figure.id = "ablation-sls";
-    title = "Single logical queue (6): cooperation without a dispatcher bottleneck";
-    xlabel = "load(kRps)";
-    ylabel = "p99.9 slowdown";
-    series;
-    notes =
+  slowdown_figure ~id:"ablation-sls"
+    ~title:"Single logical queue (6): cooperation without a dispatcher bottleneck"
+    ~configs:
+      [
+        ("Concord (physical queue)", Systems.concord ~quantum_ns ());
+        ("Concord-SLS (stealing)", Systems.concord_sls ~quantum_ns ());
+        ("Shenango-like (no preempt)", Systems.shenango ~quantum_ns ());
+        ("d-FCFS (partitioned)", Systems.d_fcfs ~quantum_ns ());
+      ]
+    ~mix:Presets.usr
+    ~rates:(range 500e3 4.5e6 500e3)
+    ~n:40_000
+    ~notes:
       [
         "6: compiler-enforced cooperation composes with work stealing and outgrows the single dispatcher";
-      ];
-  }
+      ]
+    scale
 
 let ablation_replication ?(scale = Quick) () =
   let mix = Presets.fixed_1us in
@@ -651,43 +622,18 @@ let ablation_scaling ?(scale = Quick) () =
   let mix = Presets.usr in
   let n = n_req scale 50_000 in
   let worker_counts = [ 4; 8; 14; 20; 28 ] in
-  let crossing_of ~run ~capacity =
-    (* Sweep up to the nominal worker capacity and interpolate the 50x
-       crossing; report it in MRps. *)
-    let rates = List.init 8 (fun i -> capacity *. 0.95 *. float_of_int (i + 1) /. 8.0) in
-    let sweep =
-      {
-        Sweep.system = "scaling";
-        workload = mix.Mix.name;
-        points =
-          List.map (fun rate_rps -> { Sweep.rate_rps; summary = run rate_rps }) rates;
-      }
-    in
-    match Slo.max_load_under_slo sweep with Some r -> r /. 1e6 | None -> 0.0
-  in
-  let capacity workers = float_of_int workers /. Mix.mean_service_ns mix *. 1e9 in
-  let physical =
+  (* Sweep each worker count up to its nominal worker capacity and
+     interpolate the 50x crossing; report it in MRps. *)
+  let scaling (make : Systems.args) =
     Pool.parallel_map
       (fun workers ->
-        let config = Systems.concord ~n_workers:workers ~quantum_ns () in
-        let run rate_rps =
-          Repro_runtime.Server.run ~config ~mix
-            ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-            ~n_requests:n ()
+        let capacity = float_of_int workers /. Mix.mean_service_ns mix *. 1e9 in
+        let rates = List.init 8 (fun i -> capacity *. 0.95 *. float_of_int (i + 1) /. 8.0) in
+        let sweep =
+          Sweep.run ~config:(make ~n_workers:workers ~quantum_ns ()) ~mix ~rates ~n_requests:n ()
         in
-        (float_of_int workers, crossing_of ~run ~capacity:(capacity workers)))
-      worker_counts
-  in
-  let sls =
-    Pool.parallel_map
-      (fun workers ->
-        let config = Repro_runtime.Sls_server.concord_sls ~n_workers:workers ~quantum_ns () in
-        let run rate_rps =
-          Repro_runtime.Sls_server.run ~config ~mix
-            ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-            ~n_requests:n ()
-        in
-        (float_of_int workers, crossing_of ~run ~capacity:(capacity workers)))
+        ( float_of_int workers,
+          match Slo.max_load_under_slo sweep with Some r -> r /. 1e6 | None -> 0.0 ))
       worker_counts
   in
   {
@@ -697,8 +643,8 @@ let ablation_scaling ?(scale = Quick) () =
     ylabel = "max MRps under 50x SLO";
     series =
       [
-        { Figure.label = "Concord (1 dispatcher)"; points = physical };
-        { Figure.label = "Concord-SLS"; points = sls };
+        { Figure.label = "Concord (1 dispatcher)"; points = scaling Systems.concord };
+        { Figure.label = "Concord-SLS"; points = scaling Systems.concord_sls };
       ];
     notes = [ "6: the single dispatcher flattens; the logical queue keeps scaling" ];
   }

@@ -463,7 +463,6 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
   let leader = ref (Some 0) in
   let elections = ref 1 (* the t=0 leader *) in
   let leader_changes = ref 0 in
-  let committed = ref 0 in
   let resubmissions = ref 0 in
   let parked = ref 0 in
   let arrived = ref 0 in
@@ -652,7 +651,6 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
         Int_table.remove entries next;
         set_commit nd next;
         record_commit next ~term ~req_id;
-        incr committed;
         apply_entry l ~client ~req_id
       end
       else continue := false
@@ -1243,7 +1241,7 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
       final_term = Array.fold_left (fun acc nd -> max acc nd.term) 0 nodes;
       elections = !elections;
       leader_changes = !leader_changes;
-      committed = !committed;
+      committed = !committed_upto;
       commit_indexes = Array.map (fun nd -> nd.commit_index) nodes;
       log_lengths = Array.map (fun nd -> nd.log_len) nodes;
       wal_records = Array.map (fun nd -> Wal.record_count nd.wal) nodes;

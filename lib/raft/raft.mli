@@ -134,7 +134,8 @@ val homogeneous :
   Config.t ->
   t
 (** [nodes] identical members; [stragglers] overrides speed factors as in
-    {!Cluster.homogeneous}. *)
+    {!Cluster.homogeneous}. Members are built with {!Cluster.spec}, so a
+    logical-queue config is refused. *)
 
 type summary = {
   nodes : int;
@@ -160,7 +161,10 @@ type summary = {
   final_term : int;
   elections : int;  (** leaderships established (the t=0 leader counts) *)
   leader_changes : int;  (** leadership moved to a different member *)
-  committed : int;  (** log entries committed (no-ops included) *)
+  committed : int;
+      (** distinct log indexes committed, no-ops included: the committed
+          prefix, so a new leader re-committing what its predecessor
+          already committed does not count twice *)
   commit_indexes : int array;
   log_lengths : int array;
   wal_records : int array;  (** real {!Repro_kvstore.Wal} records per member *)

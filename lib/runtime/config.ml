@@ -1,4 +1,4 @@
-type queue_model = Single_queue | Jbsq of int
+type queue_model = Single_queue | Jbsq of int | Logical of { steal : bool }
 
 type lock_model = Fine_grained | Whole_request
 
@@ -42,13 +42,24 @@ let validate t =
   | Policy.Fcfs | Policy.Srpt | Policy.Gittins _ | Policy.Locality_fcfs -> ());
   match t.queue_model with
   | Jbsq k when k < 1 -> invalid_arg "Config: JBSQ depth must be >= 1"
+  | Logical _ ->
+    (match t.policy with
+    | Policy.Fcfs -> ()
+    | Policy.Srpt | Policy.Srpt_noisy _ | Policy.Srpt_kv _ | Policy.Gittins _
+    | Policy.Locality_fcfs ->
+      invalid_arg "Config: a logical queue serves FCFS only");
+    if t.ingress_batch > 1 then invalid_arg "Config: a logical queue has no ingress to batch";
+    if t.dispatcher_steals then invalid_arg "Config: a logical queue has no dispatcher to steal"
   | Jbsq _ | Single_queue -> ()
 
-let jbsq_depth t = match t.queue_model with Single_queue -> 1 | Jbsq k -> k
+let jbsq_depth t = match t.queue_model with Single_queue | Logical _ -> 1 | Jbsq k -> k
 
 let describe t =
   let queue =
-    match t.queue_model with Single_queue -> "SQ" | Jbsq k -> Printf.sprintf "JBSQ(%d)" k
+    match t.queue_model with
+    | Single_queue -> "SQ"
+    | Jbsq k -> Printf.sprintf "JBSQ(%d)" k
+    | Logical { steal } -> if steal then "logical(steal)" else "logical(partitioned)"
   in
   let quantum =
     match t.adaptive_quantum with

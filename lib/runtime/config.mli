@@ -11,6 +11,12 @@ type queue_model =
   | Jbsq of int
       (** bounded per-worker queues of depth k including the in-service
           request; JBSQ(1) is semantically a single queue (§3.2) *)
+  | Logical of { steal : bool }
+      (** no dispatcher (§6, Shenango/Caladan): arrivals are steered
+          round-robin to unbounded per-worker FIFOs and, with [steal], an
+          idle worker takes work from the longest peer queue, forming one
+          logical queue; [steal = false] is d-FCFS. A scheduler thread only
+          raises preemption signals. FCFS only. *)
 
 type lock_model =
   | Fine_grained
@@ -57,11 +63,13 @@ type t = {
 val validate : t -> unit
 (** Raises [Invalid_argument] on nonsensical combinations (no workers,
     non-positive quantum, JBSQ depth < 1, batch < 1, adaptive floor above
-    the base quantum, negative or non-finite estimate-noise sigma). *)
+    the base quantum, negative or non-finite estimate-noise sigma, and a
+    logical queue with a non-FCFS policy, ingress batching or dispatcher
+    stealing). *)
 
 val jbsq_depth : t -> int
 (** Outstanding-requests bound per worker: k for [Jbsq k], 1 for
-    [Single_queue]. *)
+    [Single_queue] and [Logical] (whose local queues are unbounded). *)
 
 val describe : t -> string
 (** One-line description for reports. *)

@@ -1,14 +1,19 @@
-(** Bounded core-local request queue for JBSQ(k) (§3.2).
+(** Core-local FIFO request queue.
 
-    Depth is bounded by the JBSQ parameter k *including* the request the
-    worker is currently executing, so JBSQ(1) degenerates to the classic
-    synchronous single queue (one outstanding request per worker). The
-    queue itself therefore holds at most k - 1 waiting requests. *)
+    For JBSQ(k) (§3.2) it is bounded: depth is bounded by k *including*
+    the request the worker is currently executing, so JBSQ(1) degenerates
+    to the classic synchronous single queue (one outstanding request per
+    worker), and the queue itself holds at most k - 1 waiting requests.
+    A logical queue (§6) gives each worker an {!unbounded} one. *)
 
 type t
 
 val create : capacity:int -> t
 (** [capacity] is the number of *waiting* slots (k - 1). May be 0. *)
+
+val unbounded : unit -> t
+(** A queue that never fills: its slots double when they run out, so a
+    push allocates only when the queue reaches a new high-water mark. *)
 
 val capacity : t -> int
 val length : t -> int

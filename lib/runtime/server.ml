@@ -74,7 +74,7 @@ type worker = {
   mutable seg_start_progress : int; (* progress when the segment began *)
   mutable completion_at : int; (* scheduled completion of the segment *)
   mutable stop_progress : int; (* progress at the resolved preemption point *)
-  local : Local_queue.t; (* JBSQ waiting slots (depth - 1) *)
+  local : Local_queue.t; (* JBSQ waiting slots (depth - 1); unbounded when logical *)
   mutable sq_waiting : bool; (* SQ: dispatcher knows this worker is free *)
   mutable outstanding_view : int; (* JBSQ: dispatcher's slot accounting *)
   mutable gap_open_ns : int; (* completion time with backlog present, or -1 *)
@@ -171,6 +171,9 @@ type 'e t = {
   central : Policy.t;
   workers : worker array;
   disp : dispatcher;
+  logical : bool; (* [Config.Logical]: no dispatcher, see [steer] *)
+  peer_steal : bool; (* logical: idle workers steal from peers *)
+  mutable rr_next : int; (* logical: round-robin steering cursor *)
   mutable resolved_progress : int; (* stop progress of the last [resolve_stop] hit *)
   metrics : Metrics.t;
   live : (int, Request.t) Hashtbl.t; (* in-flight requests, for censoring *)
@@ -207,6 +210,7 @@ type 'e t = {
   cswitch_ns : int;
   receive_ns : int;
   local_pop_ns : int;
+  steal_ns : int; (* logical: a cross-core steal, two coherence misses *)
   notif_ns : int;
   worker_mult : float; (* (1 + cproc of the worker mechanism) x speed *)
   disp_mult : float; (* (1 + cproc of rdtsc instrumentation) x speed *)
@@ -326,7 +330,11 @@ let op_cost_ns t = function
   | Op_push -> t.push_ns
   | Op_cancel -> t.cancel_ns
 
-let is_jbsq t = match t.config.queue_model with Config.Jbsq _ -> true | Config.Single_queue -> false
+let is_jbsq t =
+  match t.config.queue_model with
+  | Config.Jbsq _ -> true
+  | Config.Single_queue | Config.Logical _ -> false
+
 let depth t = Config.jbsq_depth t.config
 
 (* Invalidate every event armed so far for worker [w]. *)
@@ -670,15 +678,76 @@ let fetch_next t (w : worker) ~switch_paid ~open_gap =
     else w.gap_open_ns <- -1
   end
 
+(* The longest local queue other than [w]'s (the first on ties), or -1
+   when every peer queue is empty. *)
+let longest_peer t (w : worker) =
+  let workers = t.workers in
+  let best = ref (-1) and best_len = ref 0 in
+  for i = 0 to Array.length workers - 1 do
+    let len = Local_queue.length workers.(i).local in
+    if len > !best_len && i <> w.wid then begin
+      best := i;
+      best_len := len
+    end
+  done;
+  !best
+
+(* Logical queue: worker [w] takes the head of its own queue or, that
+   empty and stealing on, the head of the longest peer queue, at the cost
+   of a steal. Every hand-off costs at least one context switch;
+   [switch_paid] tells whether the yield path already charged one, which
+   the steal then overlaps. *)
+let logical_fetch t (w : worker) ~switch_paid =
+  let from =
+    if not (Local_queue.is_empty w.local) then w.wid
+    else if t.peer_steal then longest_peer t w
+    else -1
+  in
+  if from < 0 then begin
+    w.cur <- Request.none;
+    bump w t.sim
+  end
+  else begin
+    let fetch_ns = if from = w.wid then 0 else t.steal_ns in
+    let switch_ns = if switch_paid then 0 else t.cswitch_ns in
+    deliver t w
+      (Local_queue.pop_unsafe t.workers.(from).local)
+      ~delay:(max t.cswitch_ns (fetch_ns + switch_ns))
+  end
+
+(* Logical queue arrival: steer round-robin. An idle target starts the
+   request at once; otherwise it queues there and, with stealing on, the
+   first idle worker steals at once (work conservation). *)
+let steer t (req : Request.t) =
+  let workers = t.workers in
+  let target = workers.(t.rr_next) in
+  t.rr_next <- (if t.rr_next + 1 = Array.length workers then 0 else t.rr_next + 1);
+  if target.cur == Request.none && Local_queue.is_empty target.local then
+    deliver t target req ~delay:t.cswitch_ns
+  else begin
+    Local_queue.push target.local req;
+    if t.peer_steal then begin
+      let idle = ref (-1) and i = ref 0 in
+      while !idle < 0 && !i < Array.length workers do
+        if workers.(!i).cur == Request.none then idle := !i;
+        incr i
+      done;
+      if !idle >= 0 then logical_fetch t workers.(!idle) ~switch_paid:false
+    end
+  end
+
 let on_worker_complete t (w : worker) =
   let req = w.cur in
   if req != Request.none then begin
     let now = Sim.now t.sim in
     Metrics.add_worker_busy t.metrics (now - w.busy_from);
     complete_request t req ~worker:w.wid;
-    ops_push t.disp.ops Op_completion Request.none w.wid 0;
-    fetch_next t w ~switch_paid:false ~open_gap:true;
-    disp_kick t
+    if t.logical then logical_fetch t w ~switch_paid:false
+    else begin
+      ops_push t.disp.ops Op_completion Request.none w.wid 0;
+      fetch_next t w ~switch_paid:false ~open_gap:true;
+      disp_kick t
+    end
   end
 
 (* The worker stops at [stop_time] (a [resolve_stop] result, -1 = never)
@@ -691,6 +760,22 @@ let arm_stop t (w : worker) stop_time =
     Sim.schedule_at t.sim ~time:stop_time t.lifted_stop.(w.wid)
   end
 
+(* Worker [w], running [req], is told at wall time [at] to stop: it stops
+   as late as its mechanism makes it, and never inside a lock window. *)
+let stop_after t (w : worker) req ~at =
+  let lateness =
+    Mechanism.yield_lateness_ns t.config.mechanism ~costs:t.config.costs ~rng:t.mech_rng
+      ~probe_spacing_ns:(probe_spacing t req)
+  in
+  arm_stop t w
+    (resolve_stop t req ~seg_start_ns:w.seg_start_ns ~seg_start_progress:w.seg_start_progress
+       ~mult:t.worker_mult ~completion_at:w.completion_at ~candidate:(at + lateness))
+
+(* How often a logical queue's scheduler thread scans each core's elapsed
+   quantum (Caladan polls at microsecond scale); it bounds how late the
+   preemption signal is raised. *)
+let scan_interval_ns = 1_000
+
 let on_quantum t (w : worker) =
   let req = w.cur in
   if req != Request.none then begin
@@ -701,20 +786,19 @@ let on_quantum t (w : worker) =
       | Mechanism.Rdtsc_probe ->
         (* Self-preemption: the worker notices the elapsed quantum at its
            next rdtsc probe; no dispatcher involvement. *)
-        let lateness =
-          Mechanism.yield_lateness_ns Mechanism.Rdtsc_probe ~costs:t.config.costs
-            ~rng:t.mech_rng ~probe_spacing_ns:(probe_spacing t req)
-        in
-        arm_stop t w
-          (resolve_stop t req ~seg_start_ns:w.seg_start_ns
-             ~seg_start_progress:w.seg_start_progress ~mult:t.worker_mult
-             ~completion_at:w.completion_at ~candidate:(now + lateness))
+        stop_after t w req ~at:now
       | Mechanism.Ipi | Mechanism.Linux_ipi | Mechanism.Uipi | Mechanism.Cache_line
       | Mechanism.Model_lateness _ ->
-        (* The dispatcher must notice the elapsed quantum and signal; its
-           busyness delays the signal (§3.3). *)
-        ops_push t.disp.ops Op_preempt_signal Request.none w.wid w.live_from;
-        disp_kick t
+        if t.logical then
+          (* No dispatcher: the scheduler thread notices the elapsed quantum
+             at its next scan of this core and raises the signal itself. *)
+          stop_after t w req ~at:(now + Rng.int t.mech_rng ~bound:scan_interval_ns)
+        else begin
+          (* The dispatcher must notice the elapsed quantum and signal; its
+             busyness delays the signal (§3.3). *)
+          ops_push t.disp.ops Op_preempt_signal Request.none w.wid w.live_from;
+          disp_kick t
+        end
     end
   end
 
@@ -725,16 +809,7 @@ let on_quantum t (w : worker) =
 let handle_preempt_signal t ~worker ~mark =
   let w = t.workers.(worker) in
   let req = w.cur in
-  if mark = w.live_from && req != Request.none then begin
-    let now = Sim.now t.sim in
-    let lateness =
-      Mechanism.yield_lateness_ns t.config.mechanism ~costs:t.config.costs ~rng:t.mech_rng
-        ~probe_spacing_ns:(probe_spacing t req)
-    in
-    arm_stop t w
-      (resolve_stop t req ~seg_start_ns:w.seg_start_ns ~seg_start_progress:w.seg_start_progress
-         ~mult:t.worker_mult ~completion_at:w.completion_at ~candidate:(now + lateness))
-  end
+  if mark = w.live_from && req != Request.none then stop_after t w req ~at:(Sim.now t.sim)
 
 let on_preempt_stop t (w : worker) =
   let req = w.cur in
@@ -760,9 +835,20 @@ let on_yield_done t (w : worker) =
   let req = w.cur in
   if req != Request.none then begin
     Metrics.add_worker_busy t.metrics (Sim.now t.sim - w.busy_from);
-    ops_push t.disp.ops Op_requeue req w.wid 0;
-    fetch_next t w ~switch_paid:true ~open_gap:false;
-    disp_kick t
+    if t.logical then begin
+      (* Preempted work goes to the tail of its own worker's queue, where
+         peers can steal it. *)
+      Local_queue.push w.local req;
+      if t.tracing then
+        trace t ~request:req.Request.id
+          (Tracing.Requeued { queue_depth = Local_queue.length w.local });
+      logical_fetch t w ~switch_paid:true
+    end
+    else begin
+      ops_push t.disp.ops Op_requeue req w.wid 0;
+      fetch_next t w ~switch_paid:true ~open_gap:false;
+      disp_kick t
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -919,6 +1005,11 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
      exactly Srpt). *)
   let est_rng = if estimate_sigma > 0.0 then Rng.split rng else rng in
   let n_workers = config.Config.n_workers in
+  let logical, peer_steal =
+    match config.Config.queue_model with
+    | Config.Logical { steal } -> (true, steal)
+    | Config.Single_queue | Config.Jbsq _ -> (false, false)
+  in
   let lifted ev = Array.init n_workers (fun w -> lift (ev w)) in
   {
     sim;
@@ -950,7 +1041,9 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
             seg_start_progress = 0;
             completion_at = 0;
             stop_progress = 0;
-            local = Local_queue.create ~capacity:(Config.jbsq_depth config - 1);
+            local =
+              (if logical then Local_queue.unbounded ()
+               else Local_queue.create ~capacity:(Config.jbsq_depth config - 1));
             sq_waiting = true;
             outstanding_view = 0;
             gap_open_ns = -1;
@@ -975,6 +1068,9 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
             Request.none;
         batch_n = 0;
       };
+    logical;
+    peer_steal;
+    rr_next = 0;
     resolved_progress = 0;
     metrics = Metrics.create ~warmup_before ~n_classes;
     live = Hashtbl.create 1024;
@@ -1003,6 +1099,7 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
     cswitch_ns = ns costs.Costs.context_switch_cycles;
     receive_ns = ns costs.Costs.worker_receive_cycles;
     local_pop_ns = ns costs.Costs.local_pop_cycles;
+    steal_ns = ns (2 * costs.Costs.coherence_miss_cycles);
     notif_ns = ns (Mechanism.notif_cost_cycles costs config.Config.mechanism);
     worker_mult = (1.0 +. Mechanism.proc_overhead costs config.Config.mechanism) *. speed_factor;
     disp_mult = (1.0 +. costs.Costs.rdtsc_proc_overhead) *. speed_factor;
@@ -1035,8 +1132,11 @@ let inject t (req : Request.t) =
   Hashtbl.replace t.live req.Request.id req;
   if t.tracing then
     trace t ~request:req.Request.id (Tracing.Arrived { service_ns = req.Request.service_ns });
-  ops_push t.disp.ops Op_ingress req (-1) 0;
-  disp_kick t
+  if t.logical then steer t req
+  else begin
+    ops_push t.disp.ops Op_ingress req (-1) 0;
+    disp_kick t
+  end
 
 let handle t ev =
   let seq = Sim.current_seq t.sim in

@@ -11,7 +11,12 @@
 
     Workers execute requests under the configured preemption mechanism.
     Progress, probe lateness, lock deferral and instrumentation slowdown
-    follow the task model described in DESIGN.md §3. *)
+    follow the task model described in DESIGN.md §3.
+
+    With a {!Config.Logical} queue model (§6) the same workers run with no
+    dispatcher: arrivals are steered round-robin to per-worker queues,
+    idle workers steal, and a scheduler thread that scans each core every
+    microsecond raises the preemption signals. *)
 
 type event
 (** One instance-internal simulation step (a dispatcher micro-op finishing,
@@ -74,13 +79,16 @@ module Instance : sig
       discarded, an executing leg is stopped through the preemption
       mechanism where one exists (it runs out and is discarded at
       completion otherwise). No-op when the request is no longer live
-      here. The request must already carry [cancelled = true]. *)
+      here. The request must already carry [cancelled = true]. Needs a
+      dispatcher: not for a {!Config.Logical} instance (which is why
+      [Repro_cluster.Cluster] refuses those). *)
 
   val surrender : 'e t -> Request.t option
   (** Give up one not-yet-started request from the central queue so the
       host can migrate it to an idle peer (rack-level work stealing), or
       [None] when everything queued has already run at least once.
-      The surrendered request is no longer live here. *)
+      The surrendered request is no longer live here. Like {!cancel}, not
+      for a {!Config.Logical} instance. *)
 
   val censor_all : ?also:(Request.t -> unit) -> 'e t -> now_ns:int -> unit
   (** Record every in-flight request as censored (end of run); [also] is

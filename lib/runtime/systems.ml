@@ -102,6 +102,23 @@ let concord_adaptive ?n_workers ?quantum_ns ?costs () =
     ~queue_model:(Config.Jbsq 2) ~dispatcher_steals:true ~adaptive_quantum:default_adaptive
     ?n_workers ?quantum_ns ?costs ()
 
+(* §6's single-logical-queue systems: no dispatcher, so its ingress and
+   hand-off costs never arise. *)
+let logical ~name ~mechanism ~steal =
+  base ~name ~mechanism ~queue_model:(Config.Logical { steal }) ~dispatcher_steals:false
+
+let concord_sls ?n_workers ?quantum_ns ?costs () =
+  logical ~name:"Concord-SLS" ~mechanism:Mechanism.Cache_line ~steal:true ?n_workers ?quantum_ns
+    ?costs ()
+
+let shenango ?n_workers ?quantum_ns ?costs () =
+  logical ~name:"Shenango-like" ~mechanism:Mechanism.No_preempt ~steal:true ?n_workers
+    ?quantum_ns ?costs ()
+
+let d_fcfs ?n_workers ?quantum_ns ?costs () =
+  logical ~name:"d-FCFS" ~mechanism:Mechanism.No_preempt ~steal:false ?n_workers ?quantum_ns
+    ?costs ()
+
 let table : (string * args) list =
   [
     ("shinjuku", shinjuku);
@@ -119,6 +136,9 @@ let table : (string * args) list =
       fun ?n_workers ?quantum_ns ?costs () -> srpt_noisy ?n_workers ?quantum_ns ?costs () );
     ("concord-adaptive", concord_adaptive);
     ("locality", locality);
+    ("concord-sls", concord_sls);
+    ("shenango", shenango);
+    ("d-fcfs", d_fcfs);
   ]
 
 let by_name name = List.assoc_opt name table

@@ -75,9 +75,30 @@ val locality : args
 (** Extension (§3.1): Concord preferring to re-dispatch preempted requests
     to the core that last ran them. *)
 
+(** {2 Single logical queue (§6)}
+
+    Shenango/Caladan-style runtimes with no dispatcher: arrivals are
+    steered round-robin to per-worker queues ({!Config.Logical}). They
+    show that compiler-enforced cooperation composes with a logical queue:
+    compare {!concord} (physical queue, dispatcher-bound) with
+    {!concord_sls} on a short-request workload. *)
+
+val concord_sls : args
+(** Cooperative preemption (the scheduler thread writes the per-core
+    preemption cache line) plus work stealing. *)
+
+val shenango : args
+(** Work stealing, run to completion (no preemption). *)
+
+val d_fcfs : args
+(** d-FCFS: static partitioning, no stealing, no preemption — the
+    queueing-theory worst case the paper's single-queue argument targets. *)
+
 val by_name : string -> args option
-(** CLI lookup: "shinjuku", "persephone", "concord", "concord-no-steal",
+(** CLI lookup: "shinjuku", "shinjuku-whole-call", "persephone", "concord",
+    "concord-no-steal",
     "coop-sq", "coop-jbsq", "concord-uipi", "concord-batched", "srpt",
-    "srpt-noisy", "concord-adaptive", "locality". *)
+    "srpt-noisy", "concord-adaptive", "locality", "concord-sls",
+    "shenango", "d-fcfs". *)
 
 val all_names : string list

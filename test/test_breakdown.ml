@@ -4,7 +4,6 @@
    built-in system, and schema validation of the Chrome-trace export. *)
 
 module Server = Repro_runtime.Server
-module Sls = Repro_runtime.Sls_server
 module Systems = Repro_runtime.Systems
 module Config = Repro_runtime.Config
 module Metrics = Repro_runtime.Metrics
@@ -76,7 +75,10 @@ let test_sum_to_sojourn_all_mechanisms () =
           in
           let ctx =
             Printf.sprintf "%s/%s"
-              (match queue_model with Config.Single_queue -> "SQ" | Config.Jbsq k -> Printf.sprintf "JBSQ(%d)" k)
+              (match queue_model with
+              | Config.Single_queue -> "SQ"
+              | Config.Jbsq k -> Printf.sprintf "JBSQ(%d)" k
+              | Config.Logical _ -> "logical")
               (Mechanism.name mechanism)
           in
           check_all breakdowns ~ctx)
@@ -106,15 +108,14 @@ let test_builtin_system_invariants () =
 
 let test_sls_breakdown () =
   let tracer = Tracing.create ~capacity:65_536 () in
-  let config = Sls.concord_sls ~n_workers:2 ~quantum_ns:2_000 () in
+  let config = Systems.concord_sls ~n_workers:2 ~quantum_ns:2_000 () in
   let (_ : Metrics.summary) =
-    Sls.run ~config
+    Server.run ~config
       ~mix:(Mix.of_dist ~name:"f" (Repro_workload.Service_dist.Fixed 20_000.0))
       ~arrival:(Arrival.Poisson { rate_rps = 80_000.0 })
       ~n_requests:400 ~tracer ()
   in
-  let cswitch = Costs.ns_of config.Sls.costs config.Sls.costs.Costs.context_switch_cycles in
-  let breakdowns = Breakdown.of_trace ~cswitch_cost_ns:cswitch tracer in
+  let breakdowns = Breakdown.of_trace ~cswitch_cost_ns:(cswitch_cost_ns config) tracer in
   check_all breakdowns ~ctx:"concord-sls";
   (* 20 us of service under a 2 us quantum: preemption overhead must show. *)
   let some_preempt =

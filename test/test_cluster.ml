@@ -364,9 +364,29 @@ let test_replication_equivalence () =
   Alcotest.(check int) "same worker count" shared.Replication.total_workers
     indep.Replication.total_workers
 
+(* Hedge cancels and steal surrenders go through a member's dispatcher; a
+   logical-queue server has none, so the rack refuses it up front. *)
+let test_logical_queue_members_rejected () =
+  let refused = Invalid_argument "Cluster.spec: a logical-queue server has no dispatcher" in
+  List.iter
+    (fun (name, (make : Systems.args)) ->
+      let config = make ~n_workers:4 () in
+      Alcotest.check_raises (name ^ " via homogeneous") refused (fun () ->
+          ignore (Cluster.homogeneous ~instances:2 config : Cluster.t));
+      Alcotest.check_raises (name ^ " via make") refused (fun () ->
+          ignore
+            (Cluster.make [| { Cluster.config; speed_factor = 1.0 } |] : Cluster.t)))
+    [
+      ("concord-sls", Systems.concord_sls);
+      ("shenango", Systems.shenango);
+      ("d-fcfs", Systems.d_fcfs);
+    ]
+
 let suite =
   [
     Alcotest.test_case "policy parsing" `Quick test_policy_parsing;
+    Alcotest.test_case "logical-queue members are rejected" `Quick
+      test_logical_queue_members_rejected;
     Alcotest.test_case "JSQ fresh state never joins longer queue" `Quick
       test_jsq_fresh_never_longer;
     Alcotest.test_case "views go stale under RTT" `Quick test_stale_views_diverge;

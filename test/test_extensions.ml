@@ -1,10 +1,9 @@
 (* Tests for the extensions beyond the paper's prototype: Zipfian key
-   popularity, the single-logical-queue server (6), multi-dispatcher
+   popularity, the single-logical-queue presets (6), multi-dispatcher
    replication (6), and ingress batching (6). *)
 
 module Rng = Repro_engine.Rng
 module Zipf = Repro_engine.Zipf
-module Sls = Repro_runtime.Sls_server
 module Replication = Repro_cluster.Replication
 module Systems = Repro_runtime.Systems
 module Metrics = Repro_runtime.Metrics
@@ -65,9 +64,11 @@ let test_zipf_kv_mix () =
 
 let fixed_mix ns = Mix.of_dist ~name:"fixed" (Service_dist.Fixed (float_of_int ns))
 
-let run_sls ?(config = Sls.concord_sls ()) ?(mix = fixed_mix 1_000) ?(rate = 1.0e6)
+let run_sls ?(config = Systems.concord_sls ()) ?(mix = fixed_mix 1_000) ?(rate = 1.0e6)
     ?(n = 5_000) ?(seed = 42) () =
-  Sls.run ~config ~mix ~arrival:(Arrival.Poisson { rate_rps = rate }) ~n_requests:n ~seed ()
+  Repro_runtime.Server.run ~config ~mix
+    ~arrival:(Arrival.Poisson { rate_rps = rate })
+    ~n_requests:n ~seed ()
 
 let test_sls_conservation () =
   List.iter
@@ -76,18 +77,18 @@ let test_sls_conservation () =
       Alcotest.(check int) "completed + censored = arrivals" 5_000
         (s.Metrics.completed + s.Metrics.censored))
     [
-      (Sls.concord_sls (), 2.0e6);
-      (Sls.shenango_like (), 2.0e6);
-      (Sls.partitioned_fcfs (), 2.0e6);
-      (Sls.concord_sls (), 30.0e6);
+      (Systems.concord_sls (), 2.0e6);
+      (Systems.shenango (), 2.0e6);
+      (Systems.d_fcfs (), 2.0e6);
+      (Systems.concord_sls (), 30.0e6);
     ]
 
 let test_sls_no_preempt_variants () =
-  let s = run_sls ~config:(Sls.shenango_like ()) ~mix:(fixed_mix 20_000) ~rate:400_000.0 () in
+  let s = run_sls ~config:(Systems.shenango ()) ~mix:(fixed_mix 20_000) ~rate:400_000.0 () in
   Alcotest.(check int) "shenango never preempts" 0 s.Metrics.preemptions;
   let c =
     run_sls
-      ~config:(Sls.concord_sls ~quantum_ns:2_000 ())
+      ~config:(Systems.concord_sls ~quantum_ns:2_000 ())
       ~mix:(fixed_mix 20_000) ~rate:400_000.0 ()
   in
   Alcotest.(check bool) "concord-sls preempts long requests" true (c.Metrics.preemptions > 0)
@@ -97,8 +98,8 @@ let test_sls_stealing_beats_partitioned () =
      d-FCFS tail, the paper's core single-queue argument. *)
   let mix = Repro_workload.Presets.ycsb_a in
   let rate = 180_000.0 in
-  let steal = run_sls ~config:(Sls.shenango_like ()) ~mix ~rate ~n:20_000 () in
-  let partitioned = run_sls ~config:(Sls.partitioned_fcfs ()) ~mix ~rate ~n:20_000 () in
+  let steal = run_sls ~config:(Systems.shenango ()) ~mix ~rate ~n:20_000 () in
+  let partitioned = run_sls ~config:(Systems.d_fcfs ()) ~mix ~rate ~n:20_000 () in
   Alcotest.(check bool) "logical single queue tightens the tail" true
     (steal.Metrics.p999_slowdown *. 1.5 < partitioned.Metrics.p999_slowdown)
 
@@ -112,7 +113,7 @@ let test_sls_outgrows_physical_dispatcher () =
       ~arrival:(Arrival.Poisson { rate_rps = rate })
       ~n_requests:40_000 ()
   in
-  let sls = run_sls ~config:(Sls.concord_sls ()) ~mix ~rate ~n:40_000 () in
+  let sls = run_sls ~config:(Systems.concord_sls ()) ~mix ~rate ~n:40_000 () in
   Alcotest.(check bool) "physical dispatcher saturated" true
     (physical.Metrics.p999_slowdown > 100.0);
   Alcotest.(check bool) "SLS keeps up" true (sls.Metrics.p999_slowdown < 20.0)
@@ -143,15 +144,10 @@ let test_sls_single_worker_matches_lindley () =
         };
       |]
   in
-  let config =
-    {
-      (Sls.partitioned_fcfs ~n_workers:1 ()) with
-      Sls.costs = Repro_hw.Costs.zero_overhead;
-    }
-  in
+  let config = Systems.d_fcfs ~n_workers:1 ~costs:Repro_hw.Costs.zero_overhead () in
   let seed = 31 and rate = 900_000.0 in
   let summary =
-    Sls.run ~config ~mix
+    Repro_runtime.Server.run ~config ~mix
       ~arrival:(Arrival.Poisson { rate_rps = rate })
       ~n_requests:(Array.length services) ~warmup_frac:0.0 ~drain_cap_ns:2_000_000_000 ~seed ()
   in
@@ -275,8 +271,8 @@ let suite =
 let test_sls_tracing () =
   let tracer = Repro_runtime.Tracing.create () in
   let (_ : Metrics.summary) =
-    Sls.run
-      ~config:(Sls.concord_sls ~n_workers:2 ~quantum_ns:2_000 ())
+    Repro_runtime.Server.run
+      ~config:(Systems.concord_sls ~n_workers:2 ~quantum_ns:2_000 ())
       ~mix:(fixed_mix 20_000)
       ~arrival:(Arrival.Poisson { rate_rps = 80_000.0 })
       ~n_requests:200 ~tracer ()

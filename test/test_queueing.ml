@@ -103,6 +103,40 @@ let test_simulator_matches_mg1_theory () =
     Alcotest.failf "simulated M/D/1 sojourn %.0f vs theory %.0f (%.1f%% off)"
       s.Metrics.mean_sojourn_ns sojourn_theory (100. *. rel)
 
+(* Batch means over seeds. [shenango] on zero overheads is work-conserving
+   with identical servers (an idle worker steals any queued request at
+   once, for free), so with exponential service its number in system is
+   exactly the M/M/c birth-death process, and by Little's law its mean
+   sojourn is the Erlang-C wait plus one mean service, whatever order it
+   serves requests in. Each seed is one independent batch; the theory
+   must fall inside the 99% Student-t interval of the batch means. *)
+let test_logical_queue_matches_mmc_batch_means () =
+  let servers = 4 and mean_service = 10_000.0 (* ns *) in
+  let arrival_rate = 0.7 *. float_of_int servers /. mean_service (* per ns: rho = 0.7 *) in
+  let mix = Mix.of_dist ~name:"expo" (Service_dist.Exponential { mean_ns = mean_service }) in
+  let config = Systems.shenango ~n_workers:servers ~costs:Repro_hw.Costs.zero_overhead () in
+  let seeds = List.init 10 (fun i -> i + 1) in
+  let batches =
+    List.map
+      (fun seed ->
+        (Repro_runtime.Server.run ~config ~mix
+           ~arrival:(Arrival.Poisson { rate_rps = arrival_rate *. 1e9 })
+           ~n_requests:20_000 ~seed ())
+          .Metrics.mean_sojourn_ns)
+      seeds
+  in
+  let k = float_of_int (List.length batches) in
+  let mean = List.fold_left ( +. ) 0.0 batches /. k in
+  let var = List.fold_left (fun acc b -> acc +. ((b -. mean) ** 2.0)) 0.0 batches /. (k -. 1.0) in
+  let half_width = 3.250 (* t(0.995, 9 dof) *) *. sqrt (var /. k) in
+  let theory =
+    Queueing.mmc_mean_wait ~servers ~arrival_rate ~service_rate:(1.0 /. mean_service)
+    +. mean_service
+  in
+  if Float.abs (mean -. theory) > half_width then
+    Alcotest.failf "M/M/%d mean sojourn %.0f ns outside the batch-means interval %.0f +- %.0f ns"
+      servers theory mean half_width
+
 let suite =
   [
     Alcotest.test_case "Erlang-C known values" `Quick test_erlang_c_known_values;
@@ -114,4 +148,6 @@ let suite =
     Alcotest.test_case "wait quantiles" `Quick test_wait_quantile;
     Alcotest.test_case "simulator = M/M/c theory" `Slow test_simulator_matches_mmc_theory;
     Alcotest.test_case "simulator = M/D/1 theory" `Slow test_simulator_matches_mg1_theory;
+    Alcotest.test_case "logical queue = M/M/c (batch means)" `Quick
+      test_logical_queue_matches_mmc_batch_means;
   ]

@@ -355,7 +355,36 @@ let test_config_validation () =
   Alcotest.check_raises "bad quantum" (Invalid_argument "Config: quantum must be positive")
     (fun () -> Config.validate { ok with Config.quantum_ns = 0 });
   Alcotest.check_raises "bad depth" (Invalid_argument "Config: JBSQ depth must be >= 1")
-    (fun () -> Config.validate { ok with Config.queue_model = Config.Jbsq 0 })
+    (fun () -> Config.validate { ok with Config.queue_model = Config.Jbsq 0 });
+  let sls = Systems.concord_sls () in
+  Config.validate sls;
+  Alcotest.check_raises "logical + srpt" (Invalid_argument "Config: a logical queue serves FCFS only")
+    (fun () -> Config.validate { sls with Config.policy = Policy.Srpt });
+  Alcotest.check_raises "logical + batching"
+    (Invalid_argument "Config: a logical queue has no ingress to batch") (fun () ->
+      Config.validate { sls with Config.ingress_batch = 8 });
+  Alcotest.check_raises "logical + dispatcher steals"
+    (Invalid_argument "Config: a logical queue has no dispatcher to steal") (fun () ->
+      Config.validate { sls with Config.dispatcher_steals = true })
+
+let test_local_queue_unbounded_grows () =
+  let q = Local_queue.unbounded () in
+  (* wrap the ring first, so growth has to unroll it *)
+  for i = 0 to 9 do
+    Local_queue.push q (request ~id:i ())
+  done;
+  for i = 0 to 9 do
+    Alcotest.(check int) "fifo before growth" i (Local_queue.pop_unsafe q).Request.id
+  done;
+  for i = 0 to 99 do
+    Local_queue.push q (request ~id:i ())
+  done;
+  Alcotest.(check bool) "never full" false (Local_queue.is_full q);
+  Alcotest.(check int) "length" 100 (Local_queue.length q);
+  for i = 0 to 99 do
+    Alcotest.(check int) "fifo across growth" i (Local_queue.pop_unsafe q).Request.id
+  done;
+  Alcotest.(check bool) "drained" true (Local_queue.is_empty q)
 
 let test_jbsq_depth () =
   Alcotest.(check int) "SQ depth 1" 1 (Config.jbsq_depth (Systems.shinjuku ()));
@@ -498,6 +527,8 @@ let suite =
     Alcotest.test_case "local queue zero capacity" `Quick test_local_queue_zero_capacity;
     Alcotest.test_case "local queue wraparound" `Quick test_local_queue_wraparound;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "unbounded local queue grows in order" `Quick
+      test_local_queue_unbounded_grows;
     Alcotest.test_case "jbsq depth" `Quick test_jbsq_depth;
     Alcotest.test_case "system presets" `Quick test_system_presets;
     Alcotest.test_case "metrics warmup cutoff" `Quick test_metrics_warmup_cutoff;
